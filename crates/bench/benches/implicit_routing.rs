@@ -9,6 +9,10 @@
 //! the materialized ceiling — only the implicit backend runs; those entries
 //! are the headline numbers the scale work moves.
 //!
+//! The `*_batch_routing` entries time the path the trial engine actually
+//! drives: the whole pair slice through the lockstep `route_batch` of each
+//! backend (both backends at `2^20`, the implicit one alone at `2^26`).
+//!
 //! Environment: `BENCH_SMOKE=1` shrinks the measurement budget,
 //! `BENCH_OUTPUT`/`BENCH_BASELINE`/`BENCH_TOLERANCE` control the report —
 //! see [`dht_bench::perf`].
@@ -17,7 +21,7 @@ use dht_bench::perf;
 use dht_experiments::implicit_scale::build_implicit_overlay;
 use dht_experiments::spec::build_full_overlay;
 use dht_id::KeySpace;
-use dht_overlay::{default_route_hop_limit, FailureMask, Overlay, RouteOutcome};
+use dht_overlay::{default_route_hop_limit, FailureMask, Overlay, RouteBatch, RouteOutcome};
 use dht_sim::{PairSampler, SeedSequence};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -50,12 +54,13 @@ fn workload_at(bits: u32, q: f64) -> (FailureMask, Vec<(u64, u64)>) {
     (mask, pairs)
 }
 
-/// Calibrates routes-per-sample to the mode's wall-clock target and returns
-/// `(median_ns_per_route, routes_per_sample, samples)`.
-fn calibrated_median<F: FnMut()>(smoke: bool, mut route_one: F) -> (f64, u64, u64) {
-    let calibration_ns = perf::measure_median_ns(64, 1, &mut route_one).max(1.0);
+/// Calibrates calls-per-sample (at least `min_calls`) to the mode's
+/// wall-clock target and returns `(median_ns_per_call, calls_per_sample,
+/// samples)`.
+fn calibrated_median<F: FnMut()>(smoke: bool, min_calls: u64, mut route_one: F) -> (f64, u64, u64) {
+    let calibration_ns = perf::measure_median_ns(min_calls, 1, &mut route_one).max(1.0);
     let (target_sample_ns, samples) = if smoke { (25e6, 5) } else { (100e6, 7) };
-    let routes_per_sample = ((target_sample_ns / calibration_ns) as u64).clamp(64, 500_000);
+    let routes_per_sample = ((target_sample_ns / calibration_ns) as u64).clamp(min_calls, 500_000);
     let median = perf::measure_median_ns(routes_per_sample, samples, &mut route_one);
     (median, routes_per_sample, samples)
 }
@@ -89,21 +94,11 @@ fn measure_implicit_point(
     let hop_limit = default_route_hop_limit(overlay);
     let mut cache = kernel.row_cache();
 
-    let mean_hops = {
-        let total: u64 = pairs
-            .iter()
-            .map(|&(source, target)| {
-                match kernel.route_ranked(&mut cache, words, source, target, hop_limit) {
-                    RouteOutcome::Delivered { hops } | RouteOutcome::Dropped { hops, .. } => {
-                        u64::from(hops)
-                    }
-                    RouteOutcome::HopLimitExceeded { limit } => u64::from(limit),
-                    RouteOutcome::SourceFailed | RouteOutcome::TargetFailed => 0,
-                }
-            })
-            .sum();
-        (total as f64 / pairs.len().max(1) as f64).max(1e-9)
-    };
+    let outcomes: Vec<RouteOutcome> = pairs
+        .iter()
+        .map(|&(source, target)| kernel.route_ranked(&mut cache, words, source, target, hop_limit))
+        .collect();
+    let mean_hops = mean_executed_hops(&outcomes);
 
     let mut cursor = 0usize;
     let route_one = || {
@@ -111,7 +106,7 @@ fn measure_implicit_point(
         cursor = (cursor + 1) % pairs.len();
         black_box(kernel.route_ranked(&mut cache, words, source, target, hop_limit));
     };
-    let (median, routes_per_sample, samples) = calibrated_median(smoke, route_one);
+    let (median, routes_per_sample, samples) = calibrated_median(smoke, 64, route_one);
     let entry = perf::entry(
         "implicit_routing",
         name,
@@ -147,7 +142,7 @@ fn measure_materialized_point(
         cursor = (cursor + 1) % pairs.len();
         black_box(kernel.route_ranked(words, source, target, hop_limit));
     };
-    let (median, routes_per_sample, samples) = calibrated_median(smoke, route_one);
+    let (median, routes_per_sample, samples) = calibrated_median(smoke, 64, route_one);
     let entry = perf::entry(
         "materialized_routing",
         name,
@@ -157,6 +152,86 @@ fn measure_materialized_point(
         routes_per_sample,
         samples,
     );
+    print_entry(&entry);
+    entry
+}
+
+/// Mean executed hops over the pair set (drops counted at the hops they
+/// travelled, hop-limited routes at the limit): the divisor that turns
+/// ns/route into ns/hop.
+fn mean_executed_hops(outcomes: &[RouteOutcome]) -> f64 {
+    let total: u64 = outcomes
+        .iter()
+        .map(|outcome| match *outcome {
+            RouteOutcome::Delivered { hops } | RouteOutcome::Dropped { hops, .. } => {
+                u64::from(hops)
+            }
+            RouteOutcome::HopLimitExceeded { limit } => u64::from(limit),
+            RouteOutcome::SourceFailed | RouteOutcome::TargetFailed => 0,
+        })
+        .sum();
+    (total as f64 / outcomes.len().max(1) as f64).max(1e-9)
+}
+
+/// Measures the lockstep batch path of whichever backend `overlay` exports
+/// (`materialized_batch_routing` or `implicit_batch_routing`): each timed
+/// call routes the whole shared pair slice through `route_batch` with a
+/// default-width frontier (and, for the implicit backend, one warm row
+/// cache), exactly as a trial-engine worker routes a shard; the median is
+/// the per-call median divided by the slice length.
+fn measure_batch_point(
+    name: &str,
+    overlay: &dyn Overlay,
+    mask: &FailureMask,
+    pairs: &[(u64, u64)],
+    q: f64,
+    smoke: bool,
+) -> perf::RoutingBenchEntry {
+    let hop_limit = default_route_hop_limit(overlay);
+    let mut batch = RouteBatch::default();
+    let mut outcomes = Vec::with_capacity(pairs.len());
+    let (bench, (median_per_call, calls_per_sample, samples)) = match overlay.kernel() {
+        Some(kernel) => {
+            let lowered = kernel.compile_mask(mask);
+            let words = lowered.words();
+            let measured = calibrated_median(smoke, 1, || {
+                kernel.route_batch(&mut batch, words, pairs, hop_limit, &mut outcomes);
+                black_box(&outcomes);
+            });
+            ("materialized_batch_routing", measured)
+        }
+        None => {
+            let kernel = overlay
+                .implicit_kernel()
+                .expect("the implicit backend exports its kernel");
+            let lowered = kernel.compile_mask(mask);
+            let words = lowered.words();
+            let mut cache = kernel.row_cache();
+            let measured = calibrated_median(smoke, 1, || {
+                kernel.route_batch(
+                    &mut batch,
+                    &mut cache,
+                    words,
+                    pairs,
+                    hop_limit,
+                    &mut outcomes,
+                );
+                black_box(&outcomes);
+            });
+            ("implicit_batch_routing", measured)
+        }
+    };
+    let median = median_per_call / pairs.len() as f64;
+    let entry = perf::entry(
+        bench,
+        name,
+        overlay.key_space().bits(),
+        q,
+        median,
+        calls_per_sample * pairs.len() as u64,
+        samples,
+    )
+    .with_ns_per_hop(median / mean_executed_hops(&outcomes));
     print_entry(&entry);
     entry
 }
@@ -178,10 +253,26 @@ fn main() {
                 q,
                 smoke,
             ));
+            entries.push(measure_batch_point(
+                name,
+                materialized.as_ref(),
+                &mask,
+                &pairs,
+                q,
+                smoke,
+            ));
             drop(materialized);
             let implicit =
                 build_implicit_overlay(name, 20, SeedSequence::new(SEED).child(0)).unwrap();
             entries.push(measure_implicit_point(
+                name,
+                implicit.as_ref(),
+                &mask,
+                &pairs,
+                q,
+                smoke,
+            ));
+            entries.push(measure_batch_point(
                 name,
                 implicit.as_ref(),
                 &mask,
@@ -207,6 +298,16 @@ fn main() {
                     q,
                     smoke,
                 ));
+                if bits == 26 {
+                    entries.push(measure_batch_point(
+                        name,
+                        implicit.as_ref(),
+                        &mask,
+                        &pairs,
+                        q,
+                        smoke,
+                    ));
+                }
             }
         }
     }

@@ -263,7 +263,7 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
         let rule = self.strategy.kernel_rule()?;
         Some(
             self.kernel
-                .get_or_init(|| RoutingKernel::compile(rule, &self.population, &self.arena)),
+                .get_or_init(|| RoutingKernel::compile(rule, &self.population, &self.arena, false)),
         )
     }
 

@@ -1,4 +1,5 @@
-//! The compiled rank-space routing kernel.
+//! The rank-space routing kernel: one greedy route loop over two row
+//! sources.
 //!
 //! Scalar routing ([`crate::route_with_limit`]) asks the overlay's
 //! [`GeometryStrategy`](crate::generic::GeometryStrategy) for a greedy hop,
@@ -10,31 +11,40 @@
 //! never changes, a bucket contact's position in the table *is* its XOR
 //! bucket, a hypercube link always corrects the same bit.
 //!
-//! [`RoutingKernel`] lowers a built overlay into a plan that precomputes all
-//! of it, in **rank space** (nodes addressed by their occupied rank, exactly
-//! like the [`crate::RoutingArena`]):
+//! The kernel precomputes all of it, in **rank space** (nodes addressed by
+//! their occupied rank, exactly like the [`crate::RoutingArena`]). One
+//! lowering turns a routing-table row into packed 8-byte entries: the
+//! neighbour's dense `u32` rank plus a per-geometry **hop key** — clockwise
+//! advance for ring/Symphony (largest first), the contact's identifier for
+//! Kademlia/Plaxton (at its bucket position), the flipped-bit weight for the
+//! hypercube — laid out in greedy-preference order. Alive probes are direct
+//! bit tests on the rank index ([`KernelMask::is_alive_rank`]).
 //!
-//! * neighbour tables become dense `u32` rank indices, packed with their hop
-//!   keys into 8-byte entries (half the scalar arena's `NodeId`) behind a
-//!   CSR `offsets` array;
-//! * each entry's **hop key** is precomputed per geometry — clockwise advance
-//!   for ring/Symphony (largest first), XOR-bucket position for
-//!   Kademlia/Plaxton, flipped-bit weight for the hypercube — and laid out in
-//!   greedy-preference order;
-//! * `next_hop` becomes an expected-O(1) scan over the advance-sorted
-//!   entries (ring; the sorted layout also admits a plain binary search) or
-//!   a leading-zero dispatch (prefix geometries) plus a short alive-probe
-//!   scan, instead of an O(d) distance-recomputing pass;
-//! * alive probes are direct bit tests on the rank index
-//!   ([`KernelMask::is_alive_rank`]) — no sparse population-rank lookup per
-//!   probe.
+//! The two backends differ only in where a lowered row comes from:
+//!
+//! * **plan rows** — [`RoutingKernel`] lowers a built overlay's whole arena
+//!   once into a fixed-stride or CSR plan and slices rows out of it
+//!   (software-prefetching the next row in the lockstep pass);
+//! * **generated rows** — [`ImplicitKernel`] regenerates a row from the
+//!   construction stream on demand into the caller's [`ImplicitRowCache`].
+//!
+//! Everything else is written once, over a shared rank-space header: the
+//! admission prelude (endpoint aliveness, then arrival), the per-rule `step`
+//! on a lookup's **cursor** (the remaining clockwise distance for the ring
+//! rule, the remaining XOR distance for the prefix and hypercube rules — zero
+//! exactly on arrival), the `stuck_at` reconstruction, one scalar loop and
+//! one lockstep [`RouteBatch`] pass ([`batch`]). The rule is matched once
+//! per call, outside every loop, so each rule runs its own monomorphized
+//! loop: the ring step is an expected-O(1) scan over advance-sorted entries,
+//! the prefix steps a leading-zero dispatch plus a short alive-probe scan.
 //!
 //! The kernel's outcomes are **bit-identical** to the scalar path: every
 //! [`RouteOutcome`] (including `Dropped { stuck_at }` and hop counts) matches
 //! `route_with_limit` for all five geometries, full and sparse populations
-//! alike — proven by the `kernel_equivalence` proptest suite. That is what
-//! lets `dht_sim`'s trial engine switch onto the kernel without perturbing a
-//! single committed measurement.
+//! alike, on both backends — proven by the `kernel_equivalence`,
+//! `batch_equivalence` and `implicit_equivalence` proptest suites. That is
+//! what lets `dht_sim`'s trial engine route through the kernel without
+//! perturbing a single committed measurement.
 //!
 //! # Example
 //!
@@ -55,6 +65,32 @@
 //! );
 //! # Ok::<(), dht_overlay::OverlayError>(())
 //! ```
+
+/// Binds `$R` to the [`Rule`] type of the [`KernelRule`] `$rule` and
+/// evaluates `$body`: the one place a rule value selects a monomorphized
+/// loop.
+macro_rules! with_rule {
+    ($rule:expr, $R:ident => $body:expr) => {
+        match $rule {
+            $crate::kernel::KernelRule::RingAdvance => {
+                type $R = $crate::kernel::Ring;
+                $body
+            }
+            $crate::kernel::KernelRule::PrefixXor => {
+                type $R = $crate::kernel::Xor;
+                $body
+            }
+            $crate::kernel::KernelRule::PrefixTree => {
+                type $R = $crate::kernel::Tree;
+                $body
+            }
+            $crate::kernel::KernelRule::HypercubeBit => {
+                type $R = $crate::kernel::Cube;
+                $body
+            }
+        }
+    };
+}
 
 pub mod batch;
 pub mod implicit;
@@ -130,12 +166,7 @@ impl KernelMask<'_> {
     #[inline]
     #[must_use]
     pub fn is_alive_rank(&self, rank: u32) -> bool {
-        match self {
-            KernelMask::Full(mask) => mask.is_alive_rank(rank),
-            KernelMask::Compressed(words) => {
-                words[(rank >> 6) as usize] & (1u64 << (rank & 63)) != 0
-            }
-        }
+        alive_bit(self.words(), rank)
     }
 
     /// The rank-indexed bitset words, resolved once so route loops probe a
@@ -160,6 +191,440 @@ fn alive_bit(words: &[u64], rank: u32) -> bool {
     words[(rank >> 6) as usize] & (1u64 << (rank & 63)) != 0
 }
 
+/// One packed plan entry: the precomputed hop key and the neighbour's
+/// occupied rank, interleaved so the key compare and the follow-up alive
+/// probe share a cache line. Both fields fit `u32` because executable
+/// identifier spaces are capped at [`crate::traits::MAX_OVERLAY_BITS`] bits
+/// ([`crate::traits::MAX_IMPLICIT_OVERLAY_BITS`] for the implicit backend,
+/// still within `u32`): the whole entry is 8 bytes, half the scalar arena's
+/// `NodeId`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanEntry {
+    /// The hop key (meaning depends on the [`KernelRule`]).
+    key: u32,
+    /// The neighbour's occupied rank, or [`NO_ENTRY`].
+    target: u32,
+}
+
+impl PlanEntry {
+    /// An inert slot (self placeholder): its zero key never matches and its
+    /// rank is never probed.
+    const EMPTY: PlanEntry = PlanEntry {
+        key: 0,
+        target: NO_ENTRY,
+    };
+}
+
+/// Where the route loops read the lowered plan row of a rank: sliced out of a
+/// compiled plan ([`PlanRows`]) or regenerated on demand ([`implicit`]'s
+/// generated rows).
+trait RowSource {
+    /// The lowered row of `rank`.
+    fn row(&mut self, rank: u32) -> &[PlanEntry];
+
+    /// Hints that the row of `rank` is read on the next lockstep pass.
+    #[inline]
+    fn prefetch(&self, _rank: u32) {}
+}
+
+/// The rank-space header both backends route over: the dispatch rule, the
+/// identifier space and the population's rank ↔ value map.
+#[derive(Debug, Clone)]
+struct RankSpace {
+    rule: KernelRule,
+    space: KeySpace,
+    /// `space.bits()`, cached for the hot loops.
+    bits: u32,
+    /// Ranks coincide with identifier values (full population).
+    full: bool,
+    /// Shared with the owning overlay, not cloned — the sparse rank table is
+    /// space-sized.
+    population: Arc<Population>,
+}
+
+impl RankSpace {
+    fn new(rule: KernelRule, population: &Arc<Population>) -> Self {
+        let space = population.space();
+        RankSpace {
+            rule,
+            space,
+            bits: space.bits(),
+            full: population.is_full(),
+            population: Arc::clone(population),
+        }
+    }
+
+    /// raw identifier value → occupied rank, `None` when unoccupied.
+    #[inline]
+    fn rank_of_value(&self, value: u64) -> Option<u32> {
+        if self.full {
+            Some(value as u32)
+        } else {
+            self.population.rank_of_value(value).map(|rank| rank as u32)
+        }
+    }
+
+    /// The occupied rank of a node a routing table references.
+    fn rank_of_node(&self, node: NodeId) -> u32 {
+        self.rank_of_value(node.value())
+            .expect("routing tables only reference occupied identifiers")
+    }
+
+    /// `Some(rank)` when `value` is an occupied identifier that survived.
+    #[inline]
+    fn alive_rank_of(&self, words: &[u64], value: u64) -> Option<u32> {
+        let rank = self.rank_of_value(value)?;
+        alive_bit(words, rank).then_some(rank)
+    }
+
+    /// Panics unless `id` belongs to the key space; `role` names it.
+    fn check_id(&self, id: NodeId, role: &str) {
+        assert_eq!(id.bits(), self.bits, "{role} is from a different key space");
+    }
+
+    /// The batch-entry validation of `compile_mask`: the key-space checks the
+    /// scalar path performs on every routed pair, asserted once per mask.
+    fn check_mask(&self, mask: &FailureMask) {
+        assert_eq!(
+            mask.key_space().bits(),
+            self.bits,
+            "mask is from a different key space"
+        );
+        assert_eq!(
+            mask.population_size(),
+            self.population.node_count(),
+            "mask covers a different population"
+        );
+    }
+
+    /// Lowers one table row into the front of `out` and returns the lowered
+    /// length (at most `table.len()`) — the single lowering behind whole
+    /// plans, live repairs and regenerated rows, each writing straight into
+    /// its own storage.
+    ///
+    /// Ring rows are sorted by greedy preference, largest clockwise advance
+    /// first, so the ring step reads forward from the row start. Prefix rows
+    /// are positional (entry `j` sits at bucket/level `j`), so the
+    /// leading-zero dispatch indexes directly. Hypercube rows keep build
+    /// order, most significant bit first, so the first entry whose bit
+    /// survives in the XOR diff is the scalar rule's minimum. Self entries of
+    /// positional rows lower to [`PlanEntry::EMPTY`].
+    ///
+    /// `fixed_width` keeps every row exactly as wide as its table, which is
+    /// what lets [`RoutingKernel::relower_rank`] repatch a live row in place.
+    /// Without it, ring rows drop zero advances (self entries never make
+    /// greedy progress) and duplicate advances (the same identifier, so one
+    /// probe suffices); with it they stay, sorted to the row's tail, where
+    /// the ring step's zero-advance guard stops.
+    fn lower_row(
+        &self,
+        node: NodeId,
+        table: &[NodeId],
+        fixed_width: bool,
+        ring_scratch: &mut Vec<(u32, u32)>,
+        out: &mut [PlanEntry],
+    ) -> usize {
+        if self.rule == KernelRule::RingAdvance {
+            ring_scratch.clear();
+            for &entry in table {
+                let advance = ring_distance_raw(node.value(), entry.value(), self.space);
+                if fixed_width || advance > 0 {
+                    ring_scratch.push((advance as u32, self.rank_of_node(entry)));
+                }
+            }
+            ring_scratch.sort_unstable();
+            if !fixed_width {
+                ring_scratch.dedup_by_key(|&mut (advance, _)| advance);
+            }
+            for (slot, &(key, target)) in ring_scratch.iter().rev().enumerate() {
+                out[slot] = PlanEntry { key, target };
+            }
+            return ring_scratch.len();
+        }
+        for (slot, &entry) in table.iter().enumerate() {
+            out[slot] = if entry == node {
+                PlanEntry::EMPTY
+            } else {
+                let key = if self.rule == KernelRule::HypercubeBit {
+                    let weight = node.value() ^ entry.value();
+                    debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
+                    weight
+                } else {
+                    entry.value()
+                };
+                PlanEntry {
+                    key: key as u32,
+                    target: self.rank_of_node(entry),
+                }
+            };
+        }
+        table.len()
+    }
+
+    /// The admission prelude of both loops, mirroring the scalar router:
+    /// source aliveness, then target aliveness, then the arrival test.
+    /// `Ok((source rank, cursor))` for a lookup that needs hops, `Err` with
+    /// the outcome of one that resolves at once.
+    // Forced, like the rule steps and plan rows: with plain `#[inline]` the
+    // compiler left these out of line in the lockstep loops, measurably
+    // slowing the materialized passes.
+    #[inline(always)]
+    fn admit<R: Rule>(
+        &self,
+        words: &[u64],
+        source: u64,
+        target: u64,
+    ) -> Result<(u32, u64), RouteOutcome> {
+        debug_assert!(source <= self.space.max_value(), "source outside the space");
+        debug_assert!(target <= self.space.max_value(), "target outside the space");
+        let Some(rank) = self.alive_rank_of(words, source) else {
+            return Err(RouteOutcome::SourceFailed);
+        };
+        if self.alive_rank_of(words, target).is_none() {
+            return Err(RouteOutcome::TargetFailed);
+        }
+        match R::cursor(self.space, source, target) {
+            0 => Err(RouteOutcome::Delivered { hops: 0 }),
+            cursor => Ok((rank, cursor)),
+        }
+    }
+
+    /// The outcome of a lookup stuck at `cursor` after `hops` hops.
+    #[inline]
+    fn dropped<R: Rule>(&self, hops: u32, cursor: u64, target: u64) -> RouteOutcome {
+        RouteOutcome::Dropped {
+            hops,
+            stuck_at: self.space.wrap(R::position(self.space, cursor, target)),
+        }
+    }
+
+    /// Routes `source` → `target` over `rows` under the alive bitset
+    /// `words`, giving up after `hop_limit` hops.
+    fn route<S: RowSource>(
+        &self,
+        rows: S,
+        words: &[u64],
+        source: u64,
+        target: u64,
+        hop_limit: u32,
+    ) -> RouteOutcome {
+        with_rule!(self.rule, R => self.route_by::<R, S>(rows, words, source, target, hop_limit))
+    }
+
+    /// The scalar route loop of rule `R`.
+    fn route_by<R: Rule, S: RowSource>(
+        &self,
+        mut rows: S,
+        words: &[u64],
+        source: u64,
+        target: u64,
+        hop_limit: u32,
+    ) -> RouteOutcome {
+        let (mut rank, mut cursor) = match self.admit::<R>(words, source, target) {
+            Ok(lane) => lane,
+            Err(outcome) => return outcome,
+        };
+        let mut hops = 0u32;
+        loop {
+            if hops >= hop_limit {
+                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
+            }
+            let Some((next_cursor, next)) =
+                R::step(rows.row(rank), words, self.bits, cursor, target)
+            else {
+                return self.dropped::<R>(hops, cursor, target);
+            };
+            hops += 1;
+            if next_cursor == 0 {
+                return RouteOutcome::Delivered { hops };
+            }
+            (rank, cursor) = (next, next_cursor);
+        }
+    }
+
+    /// The greedy next hop from `current` towards `target` over `rows`, or
+    /// `None` when no alive entry makes progress.
+    fn next_hop<S: RowSource>(
+        &self,
+        mut rows: S,
+        words: &[u64],
+        current: NodeId,
+        target: NodeId,
+    ) -> Option<NodeId> {
+        self.check_id(current, "current");
+        self.check_id(target, "target");
+        // An unoccupied identifier has no routing table (the scalar path
+        // yields an empty neighbour slice and therefore no hop).
+        let rank = self.rank_of_value(current.value())?;
+        let (current, target) = (current.value(), target.value());
+        with_rule!(self.rule, R => {
+            let cursor = R::cursor(self.space, current, target);
+            if cursor == 0 {
+                return None;
+            }
+            let (cursor, _) = R::step(rows.row(rank), words, self.bits, cursor, target)?;
+            Some(self.space.wrap(R::position(self.space, cursor, target)))
+        })
+    }
+}
+
+/// One greedy rule over a lookup's cursor, which is zero exactly on arrival.
+/// The defaults are the XOR-distance cursor of the prefix and hypercube
+/// rules; the ring rule overrides them with the clockwise distance.
+trait Rule {
+    /// The cursor of a lookup standing at `current`.
+    #[inline]
+    fn cursor(_space: KeySpace, current: u64, target: u64) -> u64 {
+        current ^ target
+    }
+
+    /// The identifier a lookup with `cursor` stands at (its `stuck_at` when
+    /// it drops there).
+    #[inline]
+    fn position(_space: KeySpace, cursor: u64, target: u64) -> u64 {
+        target ^ cursor
+    }
+
+    /// One greedy hop over the lowered row of the node holding the lookup:
+    /// the new cursor and the next rank, or `None` when no alive entry makes
+    /// progress.
+    fn step(
+        row: &[PlanEntry],
+        words: &[u64],
+        bits: u32,
+        cursor: u64,
+        target: u64,
+    ) -> Option<(u64, u32)>;
+}
+
+/// [`KernelRule::RingAdvance`]: the cursor is the remaining clockwise
+/// distance, so a hop subtracts its advance — no identifier arithmetic.
+struct Ring;
+
+/// [`KernelRule::PrefixXor`].
+struct Xor;
+
+/// [`KernelRule::PrefixTree`].
+struct Tree;
+
+/// [`KernelRule::HypercubeBit`]: correcting a bit is one XOR on the cursor.
+struct Cube;
+
+impl Rule for Ring {
+    #[inline]
+    fn cursor(space: KeySpace, current: u64, target: u64) -> u64 {
+        ring_distance_raw(current, target, space)
+    }
+
+    #[inline]
+    fn position(space: KeySpace, cursor: u64, target: u64) -> u64 {
+        target.wrapping_sub(cursor) & space.max_value()
+    }
+
+    /// The largest advance `<=` the remaining distance whose entry is alive.
+    ///
+    /// Entries are stored largest-advance first, so a forward scan over the
+    /// row finds the answer: overshooting advances and dead probes are both
+    /// skipped by the same walk. The scan is expected O(1) probes — the
+    /// number of advances above the remaining distance is geometrically
+    /// distributed (one per phase above the current one), which beats a
+    /// branchy O(log d) binary search on real tables.
+    #[inline(always)]
+    fn step(
+        row: &[PlanEntry],
+        words: &[u64],
+        _bits: u32,
+        remaining: u64,
+        _target: u64,
+    ) -> Option<(u64, u32)> {
+        for entry in row {
+            // Fixed-width rows keep zero-advance self entries at the row
+            // tail; a zero advance never makes greedy progress, so reaching
+            // the tail means the hop fails.
+            if entry.key == 0 {
+                return None;
+            }
+            let advance = u64::from(entry.key);
+            if advance <= remaining && alive_bit(words, entry.target) {
+                return Some((remaining - advance, entry.target));
+            }
+        }
+        None
+    }
+}
+
+impl Rule for Xor {
+    /// The bucket of the highest differing bit when alive (the provable
+    /// minimum), else the XOR-closest alive contact among the lower-order
+    /// buckets.
+    #[inline(always)]
+    fn step(
+        row: &[PlanEntry],
+        words: &[u64],
+        bits: u32,
+        diff: u64,
+        target: u64,
+    ) -> Option<(u64, u32)> {
+        let level = leading_level(bits, diff);
+        let primary = row[level];
+        if primary.target != NO_ENTRY && alive_bit(words, primary.target) {
+            return Some((u64::from(primary.key) ^ target, primary.target));
+        }
+        // Fallback: buckets above `level` can never beat the current
+        // distance; buckets below compete on their (precomputed) contact
+        // values' XOR distance to the target. Strictly-smaller keeps the
+        // scalar path's first-minimum tie behaviour.
+        let mut best: Option<(u64, u32)> = None;
+        for entry in &row[level + 1..bits as usize] {
+            if entry.target == NO_ENTRY || !alive_bit(words, entry.target) {
+                continue;
+            }
+            let distance = u64::from(entry.key) ^ target;
+            if distance < diff && best.is_none_or(|(closest, _)| distance < closest) {
+                best = Some((distance, entry.target));
+            }
+        }
+        best
+    }
+}
+
+impl Rule for Tree {
+    /// The level of the highest differing bit, single probe, no fallback.
+    #[inline(always)]
+    fn step(
+        row: &[PlanEntry],
+        words: &[u64],
+        bits: u32,
+        diff: u64,
+        target: u64,
+    ) -> Option<(u64, u32)> {
+        let entry = row[leading_level(bits, diff)];
+        (entry.target != NO_ENTRY && alive_bit(words, entry.target))
+            .then(|| (u64::from(entry.key) ^ target, entry.target))
+    }
+}
+
+impl Rule for Cube {
+    /// The first (highest-weight) entry whose bit is still set in the diff
+    /// and alive.
+    #[inline(always)]
+    fn step(
+        row: &[PlanEntry],
+        words: &[u64],
+        _bits: u32,
+        diff: u64,
+        _target: u64,
+    ) -> Option<(u64, u32)> {
+        for entry in row {
+            let weight = u64::from(entry.key);
+            if diff & weight != 0 && alive_bit(words, entry.target) {
+                return Some((diff ^ weight, entry.target));
+            }
+        }
+        None
+    }
+}
+
 /// A built overlay lowered into a rank-space routing plan.
 ///
 /// See the [module docs](self) for the representation. Obtain one through
@@ -169,13 +634,7 @@ fn alive_bit(words: &[u64], rank: u32) -> bool {
 /// [`RoutingKernel::compile_mask`].
 #[derive(Debug)]
 pub struct RoutingKernel {
-    rule: KernelRule,
-    space: KeySpace,
-    bits: u32,
-    full: bool,
-    /// Shared with the owning overlay (value↔rank mapping for sparse
-    /// populations), not cloned — the sparse rank table is space-sized.
-    population: Arc<Population>,
+    header: RankSpace,
     /// `offsets[r]..offsets[r + 1]` delimits the plan entries of rank `r`.
     offsets: Vec<u32>,
     /// When every table has the same length (always true for full
@@ -184,8 +643,6 @@ pub struct RoutingKernel {
     stride: Option<u32>,
     /// The packed plan entries, tables back to back in rank order.
     entries: Vec<PlanEntry>,
-    /// rank → identifier value; empty for full populations (identity).
-    values: Vec<u32>,
     /// Memoized sparse-mask lowering, keyed by [`FailureMask::generation`]:
     /// repeated [`RoutingKernel::compile_mask`] calls over the same unmutated
     /// mask (every trial of a static-resilience grid point) reuse one O(n)
@@ -202,33 +659,13 @@ pub struct RoutingKernel {
 impl Clone for RoutingKernel {
     fn clone(&self) -> Self {
         RoutingKernel {
-            rule: self.rule,
-            space: self.space,
-            bits: self.bits,
-            full: self.full,
-            population: Arc::clone(&self.population),
+            header: self.header.clone(),
             offsets: self.offsets.clone(),
             stride: self.stride,
             entries: self.entries.clone(),
-            values: self.values.clone(),
             lowering: Mutex::new(None),
         }
     }
-}
-
-/// One packed plan entry: the precomputed hop key and the neighbour's
-/// occupied rank, interleaved so the key compare and the follow-up alive
-/// probe share a cache line. Both fields fit `u32` because executable
-/// identifier spaces are capped at [`crate::traits::MAX_OVERLAY_BITS`] bits
-/// ([`crate::traits::MAX_IMPLICIT_OVERLAY_BITS`] for the implicit backend,
-/// still within `u32`): the whole entry is 8 bytes, half the scalar arena's
-/// `NodeId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanEntry {
-    /// The hop key (meaning depends on the [`KernelRule`]).
-    key: u32,
-    /// The neighbour's occupied rank, or [`NO_ENTRY`].
-    target: u32,
 }
 
 impl RoutingKernel {
@@ -237,184 +674,44 @@ impl RoutingKernel {
     ///
     /// Ranks follow the arena/population convention (occupied identifiers in
     /// ascending order). Construction is O(edges) plus, for the ring rule, a
-    /// per-table sort by advance.
+    /// per-table sort by advance. `fixed_width` keeps every plan row as wide
+    /// as its arena row — the live overlay's plans, whose rows
+    /// [`RoutingKernel::relower_rank`] repatches in place after a repair.
     #[must_use]
     pub(crate) fn compile(
         rule: KernelRule,
         population: &Arc<Population>,
         arena: &RoutingArena,
+        fixed_width: bool,
     ) -> Self {
-        let space = population.space();
-        let bits = space.bits();
-        let full = population.is_full();
+        let header = RankSpace::new(rule, population);
         let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
         debug_assert_eq!(arena.node_count(), node_count);
-
-        let values: Vec<u32> = if full {
-            Vec::new()
-        } else {
-            population
-                .iter_nodes()
-                .map(|node| node.value() as u32)
-                .collect()
-        };
-        let rank_of = |node: NodeId| -> u32 {
-            population
-                .rank_of_value(node.value())
-                .expect("routing tables only reference occupied identifiers") as u32
-        };
-
-        let entry_hint = arena.entry_count() as usize;
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut entries: Vec<PlanEntry> = Vec::with_capacity(entry_hint);
-        offsets.push(0u32);
-        let mut ring_scratch: Vec<(u32, u32)> = Vec::new();
-
-        for (rank, node) in population.iter_nodes().enumerate() {
-            let table = arena.neighbors(rank);
-            match rule {
-                KernelRule::RingAdvance => {
-                    // Sorted by greedy preference — largest clockwise advance
-                    // first, so the hop scan reads forward from the row
-                    // start. Self-entries (advance 0, the sparse placeholder)
-                    // never make greedy progress and are dropped, and
-                    // duplicate advances are the same identifier, so one
-                    // probe suffices.
-                    ring_scratch.clear();
-                    for &entry in table {
-                        let advance = ring_distance_raw(node.value(), entry.value(), space);
-                        if advance > 0 {
-                            ring_scratch.push((advance as u32, rank_of(entry)));
-                        }
-                    }
-                    ring_scratch.sort_unstable();
-                    ring_scratch.dedup_by_key(|&mut (advance, _)| advance);
-                    entries.extend(
-                        ring_scratch
-                            .iter()
-                            .rev()
-                            .map(|&(advance, target)| PlanEntry {
-                                key: advance,
-                                target,
-                            }),
-                    );
-                }
-                KernelRule::PrefixXor | KernelRule::PrefixTree => {
-                    // Positional: entry j sits at bucket/level j, so the
-                    // leading-zero dispatch can index directly. Placeholders
-                    // keep their slot with a NO_ENTRY rank.
-                    debug_assert_eq!(table.len(), bits as usize, "prefix tables hold d entries");
-                    for &entry in table {
-                        if entry == node {
-                            entries.push(PlanEntry {
-                                key: 0,
-                                target: NO_ENTRY,
-                            });
-                        } else {
-                            entries.push(PlanEntry {
-                                key: entry.value() as u32,
-                                target: rank_of(entry),
-                            });
-                        }
-                    }
-                }
-                KernelRule::HypercubeBit => {
-                    // Build order is bit 0 (most significant) downward, so
-                    // the first entry whose bit survives in the XOR diff is
-                    // the scalar rule's minimum.
-                    for &entry in table {
-                        let weight = node.value() ^ entry.value();
-                        debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
-                        entries.push(PlanEntry {
-                            key: weight as u32,
-                            target: rank_of(entry),
-                        });
-                    }
-                }
-            }
-            let end =
-                u32::try_from(entries.len()).expect("kernel plans hold at most u32::MAX entries");
-            offsets.push(end);
-        }
-
-        let stride = uniform_stride(&offsets);
-        RoutingKernel {
-            rule,
-            space,
-            bits,
-            full,
-            population: Arc::clone(population),
-            offsets,
-            stride,
-            entries,
-            values,
-            lowering: Mutex::new(None),
-        }
-    }
-
-    /// Lowers a live overlay's fixed-width arena into a *repairable* plan.
-    ///
-    /// Unlike [`RoutingKernel::compile`], every plan row keeps exactly the
-    /// arena row's width: ring rows retain duplicate and zero-advance (self)
-    /// entries in descending-advance order (the dispatch guard in `ring_hop`
-    /// stops at the zero tail), and hypercube self placeholders lower to
-    /// inert [`NO_ENTRY`] slots. Fixed-width rows are what let
-    /// [`RoutingKernel::relower_rank`] repatch a single row in place after a
-    /// live repair instead of recompiling the whole plan.
-    #[must_use]
-    pub(crate) fn compile_live(
-        rule: KernelRule,
-        population: &Arc<Population>,
-        arena: &RoutingArena,
-    ) -> Self {
-        let space = population.space();
-        let bits = space.bits();
-        let full = population.is_full();
-        let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
-        debug_assert_eq!(arena.node_count(), node_count);
-
-        let values: Vec<u32> = if full {
-            Vec::new()
-        } else {
-            population
-                .iter_nodes()
-                .map(|node| node.value() as u32)
-                .collect()
-        };
-        let rank_of = |node: NodeId| -> u32 {
-            population
-                .rank_of_value(node.value())
-                .expect("routing tables only reference occupied identifiers") as u32
-        };
-
         let mut offsets = Vec::with_capacity(node_count + 1);
         let mut entries: Vec<PlanEntry> = Vec::with_capacity(arena.entry_count() as usize);
+        let mut ring_scratch = Vec::new();
         offsets.push(0u32);
         for (rank, node) in population.iter_nodes().enumerate() {
-            lower_live_row(
-                rule,
-                space,
+            let table = arena.neighbors(rank);
+            let start = entries.len();
+            entries.resize(start + table.len(), PlanEntry::EMPTY);
+            let len = header.lower_row(
                 node,
-                arena.neighbors(rank),
-                &rank_of,
-                &mut entries,
+                table,
+                fixed_width,
+                &mut ring_scratch,
+                &mut entries[start..],
             );
+            entries.truncate(start + len);
             let end =
                 u32::try_from(entries.len()).expect("kernel plans hold at most u32::MAX entries");
             offsets.push(end);
         }
-
-        let stride = uniform_stride(&offsets);
         RoutingKernel {
-            rule,
-            space,
-            bits,
-            full,
-            population: Arc::clone(population),
+            header,
+            stride: uniform_stride(&offsets),
             offsets,
-            stride,
             entries,
-            values,
             lowering: Mutex::new(None),
         }
     }
@@ -424,69 +721,69 @@ impl RoutingKernel {
     /// invalidation): only the repaired row is re-lowered, every other row
     /// and the CSR layout stay untouched.
     ///
-    /// Only valid on plans produced by [`RoutingKernel::compile_live`], whose
-    /// rows are fixed-width by construction.
+    /// Only valid on fixed-width plans ([`RoutingKernel::compile`] with
+    /// `fixed_width`).
     ///
     /// # Panics
     ///
     /// Panics if the lowered row width differs from the stored row (a
     /// violation of the live fixed-width contract).
     pub(crate) fn relower_rank(&mut self, rank: usize, node: NodeId, table: &[NodeId]) {
-        let (start, end) = self.bounds(rank as u32);
-        let population = Arc::clone(&self.population);
-        let rank_of = |n: NodeId| -> u32 {
-            population
-                .rank_of_value(n.value())
-                .expect("routing tables only reference occupied identifiers") as u32
-        };
-        let mut row: Vec<PlanEntry> = Vec::with_capacity(end - start);
-        lower_live_row(self.rule, self.space, node, table, &rank_of, &mut row);
+        let (start, end) = self.rows().bounds(rank as u32);
+        // A fixed-width lowering is exactly as wide as its table.
         assert_eq!(
-            row.len(),
+            table.len(),
             end - start,
             "live repairs preserve the row width"
         );
-        self.entries[start..end].copy_from_slice(&row);
+        self.header.lower_row(
+            node,
+            table,
+            true,
+            &mut Vec::new(),
+            &mut self.entries[start..end],
+        );
     }
 
     /// `true` when `other` encodes entry-for-entry the same routing plan:
-    /// same rule, key space, CSR layout and packed hop keys/ranks.
+    /// same rule, key space, population, CSR layout and packed hop
+    /// keys/ranks.
     ///
     /// This is the kernel-level equality the incremental-equivalence property
     /// suite asserts between a delta-repaired plan and a from-scratch
     /// live compile over the same state.
     #[must_use]
     pub fn plan_eq(&self, other: &RoutingKernel) -> bool {
-        self.rule == other.rule
-            && self.space == other.space
-            && self.bits == other.bits
-            && self.full == other.full
+        self.header.rule == other.header.rule
+            && self.header.space == other.header.space
+            && self.header.population == other.header.population
             && self.offsets == other.offsets
             && self.stride == other.stride
             && self.entries == other.entries
-            && self.values == other.values
     }
 
-    /// A 64-bit digest of the full plan (rule, layout, every packed entry),
-    /// folded with SplitMix64. Plans that satisfy [`RoutingKernel::plan_eq`]
-    /// digest identically; the live-churn engine folds this into its
-    /// final-state hashes so thread-count determinism covers the compiled
-    /// plans, not just the tallies.
+    /// A 64-bit digest of the full plan (rule, layout, every packed entry,
+    /// the sparse rank → value map), folded with SplitMix64. Plans that
+    /// satisfy [`RoutingKernel::plan_eq`] digest identically; the live-churn
+    /// engine folds this into its final-state hashes so thread-count
+    /// determinism covers the compiled plans, not just the tallies.
     #[must_use]
     pub fn plan_digest(&self) -> u64 {
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |value: u64| digest = crate::live::splitmix64(digest ^ value);
-        fold(self.rule as u64);
-        fold(u64::from(self.bits));
-        fold(u64::from(self.full));
+        fold(self.header.rule as u64);
+        fold(u64::from(self.header.bits));
+        fold(u64::from(self.header.full));
         for &offset in &self.offsets {
             fold(u64::from(offset));
         }
         for entry in &self.entries {
             fold(u64::from(entry.key) << 32 | u64::from(entry.target));
         }
-        for &value in &self.values {
-            fold(u64::from(value));
+        if !self.header.full {
+            for node in self.header.population.iter_nodes() {
+                fold(node.value());
+            }
         }
         digest
     }
@@ -494,13 +791,13 @@ impl RoutingKernel {
     /// The dispatch rule this kernel was compiled with.
     #[must_use]
     pub fn rule(&self) -> KernelRule {
-        self.rule
+        self.header.rule
     }
 
     /// The identifier space the kernel routes in.
     #[must_use]
     pub fn key_space(&self) -> KeySpace {
-        self.space
+        self.header.space
     }
 
     /// Number of plan entries (directed edges, placeholders included for the
@@ -510,16 +807,14 @@ impl RoutingKernel {
         self.entries.len() as u64
     }
 
-    /// Bytes of the plan's own storage (offsets, packed key/rank entries and
-    /// the sparse value table) — the kernel's memory cost on top of the
-    /// overlay it was lowered from: 8 bytes per entry plus ~4 per node. The
-    /// population is shared with the overlay, not duplicated, and is not
-    /// counted here.
+    /// Bytes of the plan's own storage (offsets and packed key/rank entries)
+    /// — the kernel's memory cost on top of the overlay it was lowered from:
+    /// 8 bytes per entry plus ~4 per node. The population (and with it the
+    /// sparse rank ↔ value map) is shared with the overlay, not duplicated,
+    /// and is not counted here.
     #[must_use]
     pub fn plan_bytes(&self) -> usize {
-        self.offsets.len() * 4
-            + self.entries.len() * std::mem::size_of::<PlanEntry>()
-            + self.values.len() * 4
+        self.offsets.len() * 4 + self.entries.len() * std::mem::size_of::<PlanEntry>()
     }
 
     /// Lowers `mask` into this kernel's rank space.
@@ -540,17 +835,8 @@ impl RoutingKernel {
     /// the kernel.
     #[must_use]
     pub fn compile_mask<'mask>(&self, mask: &'mask FailureMask) -> KernelMask<'mask> {
-        assert_eq!(
-            mask.key_space().bits(),
-            self.bits,
-            "mask is from a different key space"
-        );
-        assert_eq!(
-            mask.population_size(),
-            self.population.node_count(),
-            "mask covers a different population"
-        );
-        if self.full {
+        self.header.check_mask(mask);
+        if self.header.full {
             return KernelMask::Full(mask);
         }
         let generation = mask.generation();
@@ -566,9 +852,10 @@ impl RoutingKernel {
                 return KernelMask::Compressed(Arc::clone(words));
             }
         }
-        let node_count = self.values.len();
+        let population = &self.header.population;
+        let node_count = usize::try_from(population.node_count()).expect("overlay sizes fit usize");
         let mut words = vec![0u64; node_count.div_ceil(64)];
-        for (rank, node) in self.population.iter_nodes().enumerate() {
+        for (rank, node) in population.iter_nodes().enumerate() {
             if mask.is_alive(node) {
                 words[rank >> 6] |= 1u64 << (rank & 63);
             }
@@ -577,26 +864,6 @@ impl RoutingKernel {
         *self.lowering.lock().expect("lowering cache poisoned") =
             Some((generation, Arc::clone(&words)));
         KernelMask::Compressed(words)
-    }
-
-    /// rank → raw identifier value.
-    #[inline]
-    fn value_of(&self, rank: u32) -> u64 {
-        if self.full {
-            u64::from(rank)
-        } else {
-            u64::from(self.values[rank as usize])
-        }
-    }
-
-    /// raw identifier value → occupied rank, `None` when unoccupied.
-    #[inline]
-    fn rank_of_value(&self, value: u64) -> Option<u32> {
-        if self.full {
-            Some(value as u32)
-        } else {
-            self.population.rank_of_value(value).map(|rank| rank as u32)
-        }
     }
 
     /// Routes `source` → `target` under the lowered `mask`, giving up after
@@ -618,17 +885,9 @@ impl RoutingKernel {
         target: NodeId,
         hop_limit: u32,
     ) -> RouteOutcome {
-        assert_eq!(
-            source.bits(),
-            self.bits,
-            "source is from a different key space"
-        );
-        assert_eq!(
-            target.bits(),
-            self.bits,
-            "target is from a different key space"
-        );
-        self.route_values(mask, source.value(), target.value(), hop_limit)
+        self.header.check_id(source, "source");
+        self.header.check_id(target, "target");
+        self.route_ranked(mask.words(), source.value(), target.value(), hop_limit)
     }
 
     /// [`RoutingKernel::route`] over raw identifier values — the batch entry
@@ -643,9 +902,7 @@ impl RoutingKernel {
         target: u64,
         hop_limit: u32,
     ) -> RouteOutcome {
-        // The mask representation is resolved to its bitset once per route;
-        // every probe below is a bare shift-and-mask on the slice.
-        self.route_on_words(mask.words(), source, target, hop_limit)
+        self.route_ranked(mask.words(), source, target, hop_limit)
     }
 
     /// [`RoutingKernel::route_values`] over a caller-held rank-indexed alive
@@ -665,38 +922,8 @@ impl RoutingKernel {
         target: u64,
         hop_limit: u32,
     ) -> RouteOutcome {
-        self.route_on_words(alive_words, source, target, hop_limit)
-    }
-
-    fn route_on_words(
-        &self,
-        words: &[u64],
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        debug_assert!(source <= self.space.max_value(), "source outside the space");
-        debug_assert!(target <= self.space.max_value(), "target outside the space");
-        // Mirrors the scalar driver exactly: source first, then target, then
-        // the greedy loop.
-        let Some(source_rank) = self.alive_rank_of(words, source) else {
-            return RouteOutcome::SourceFailed;
-        };
-        if self.alive_rank_of(words, target).is_none() {
-            return RouteOutcome::TargetFailed;
-        }
-        match self.rule {
-            KernelRule::RingAdvance => {
-                self.route_ring(words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::PrefixXor => self.route_xor(words, source_rank, source, target, hop_limit),
-            KernelRule::PrefixTree => {
-                self.route_tree(words, source_rank, source, target, hop_limit)
-            }
-            KernelRule::HypercubeBit => {
-                self.route_hypercube(words, source_rank, source, target, hop_limit)
-            }
-        }
+        self.header
+            .route(self.rows(), alive_words, source, target, hop_limit)
     }
 
     /// The greedy next hop from `current` towards `target`, or `None` when no
@@ -715,55 +942,31 @@ impl RoutingKernel {
         current: NodeId,
         target: NodeId,
     ) -> Option<NodeId> {
-        assert_eq!(
-            current.bits(),
-            self.bits,
-            "current is from a different key space"
-        );
-        assert_eq!(
-            target.bits(),
-            self.bits,
-            "target is from a different key space"
-        );
-        // An unoccupied identifier has no routing table (the scalar path
-        // yields an empty neighbour slice and therefore no hop).
-        let rank = self.rank_of_value(current.value())?;
-        let words = mask.words();
-        let current = current.value();
-        let target = target.value();
-        let value = match self.rule {
-            KernelRule::RingAdvance => {
-                let remaining = ring_distance_raw(current, target, self.space);
-                let (_, next) = self.ring_hop(words, rank, remaining)?;
-                self.value_of(next)
-            }
-            KernelRule::PrefixXor => {
-                if current == target {
-                    return None;
-                }
-                self.xor_hop(words, rank, current, target)?.0
-            }
-            KernelRule::PrefixTree => {
-                if current == target {
-                    return None;
-                }
-                self.tree_hop(words, rank, current, target)?.0
-            }
-            KernelRule::HypercubeBit => {
-                let (weight, _) = self.cube_hop(words, rank, current ^ target)?;
-                current ^ weight
-            }
-        };
-        Some(self.space.wrap(value))
+        self.header
+            .next_hop(self.rows(), mask.words(), current, target)
     }
 
-    /// `Some(rank)` when `value` is an occupied identifier that survived.
-    #[inline]
-    fn alive_rank_of(&self, words: &[u64], value: u64) -> Option<u32> {
-        let rank = self.rank_of_value(value)?;
-        alive_bit(words, rank).then_some(rank)
+    /// The plan rows as a row source.
+    fn rows(&self) -> PlanRows<'_> {
+        PlanRows {
+            offsets: &self.offsets,
+            stride: self.stride,
+            entries: &self.entries,
+        }
     }
+}
 
+/// Plan rows: a row source slicing the compiled plan. The route loops take
+/// it by value, so its bounds and stride are loop-invariant locals rather
+/// than loads through the kernel.
+#[derive(Clone, Copy)]
+struct PlanRows<'k> {
+    offsets: &'k [u32],
+    stride: Option<u32>,
+    entries: &'k [PlanEntry],
+}
+
+impl PlanRows<'_> {
     /// The plan-entry range of rank `r`: a multiply for fixed-stride plans,
     /// two `offsets` loads for ragged ones.
     #[inline]
@@ -779,259 +982,35 @@ impl RoutingKernel {
             ),
         }
     }
-
-    /// One ring hop over the plan row of `rank` — see [`ring_hop_row`].
-    #[inline]
-    fn ring_hop(&self, words: &[u64], rank: u32, remaining: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        ring_hop_row(&self.entries[start..end], words, remaining)
-    }
-
-    /// One tree hop over the plan row of `rank` — see [`tree_hop_row`].
-    #[inline]
-    fn tree_hop(&self, words: &[u64], rank: u32, current: u64, target: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        tree_hop_row(&self.entries[start..end], words, self.bits, current, target)
-    }
-
-    /// One XOR hop over the plan row of `rank` — see [`xor_hop_row`].
-    #[inline]
-    fn xor_hop(&self, words: &[u64], rank: u32, current: u64, target: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        xor_hop_row(&self.entries[start..end], words, self.bits, current, target)
-    }
-
-    /// One hypercube hop over the plan row of `rank` — see [`cube_hop_row`].
-    #[inline]
-    fn cube_hop(&self, words: &[u64], rank: u32, diff: u64) -> Option<(u64, u32)> {
-        let (start, end) = self.bounds(rank);
-        cube_hop_row(&self.entries[start..end], words, diff)
-    }
-
-    fn route_ring(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        // The whole loop runs on the remaining clockwise distance: it starts
-        // at ring_distance(source, target), every hop subtracts its advance,
-        // and zero means arrival — no identifier arithmetic per hop.
-        let mut remaining = ring_distance_raw(source, target, self.space);
-        let mut hops = 0u32;
-        while remaining != 0 {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.ring_hop(words, rank, remaining) {
-                Some((advance, next)) => {
-                    remaining -= advance;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(self.value_of(rank)),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
-
-    fn route_tree(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut current = source;
-        let mut hops = 0u32;
-        while current != target {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.tree_hop(words, rank, current, target) {
-                Some((value, next)) => {
-                    current = value;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(current),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
-
-    fn route_xor(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        let mut current = source;
-        let mut hops = 0u32;
-        while current != target {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.xor_hop(words, rank, current, target) {
-                Some((value, next)) => {
-                    current = value;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(current),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
-
-    fn route_hypercube(
-        &self,
-        words: &[u64],
-        mut rank: u32,
-        source: u64,
-        target: u64,
-        hop_limit: u32,
-    ) -> RouteOutcome {
-        // The current identifier is always `target ^ diff`, so the loop only
-        // tracks the diff; correcting a bit is one XOR.
-        let mut diff = source ^ target;
-        let mut hops = 0u32;
-        while diff != 0 {
-            if hops >= hop_limit {
-                return RouteOutcome::HopLimitExceeded { limit: hop_limit };
-            }
-            match self.cube_hop(words, rank, diff) {
-                Some((weight, next)) => {
-                    diff ^= weight;
-                    rank = next;
-                    hops += 1;
-                }
-                None => {
-                    return RouteOutcome::Dropped {
-                        hops,
-                        stuck_at: self.space.wrap(target ^ diff),
-                    }
-                }
-            }
-        }
-        RouteOutcome::Delivered { hops }
-    }
 }
 
-/// One ring hop over a single plan row: the largest advance `<=` remaining
-/// whose entry is alive. Returns the advance taken and the new rank.
-///
-/// Entries are stored largest-advance first, so a forward scan over the
-/// row finds the answer: overshooting advances and dead probes are both
-/// skipped by the same walk. The scan is expected O(1) probes — the
-/// number of advances above the remaining distance is geometrically
-/// distributed (one per phase above the current one), which beats a
-/// branchy O(log d) binary search on real tables.
-///
-/// Shared by [`RoutingKernel`] (rows sliced out of the compiled plan) and
-/// [`ImplicitKernel`] (rows regenerated on demand), which is what makes the
-/// two backends' hop decisions identical by construction.
-#[inline]
-fn ring_hop_row(row: &[PlanEntry], words: &[u64], remaining: u64) -> Option<(u64, u32)> {
-    for entry in row {
-        // Live plans keep zero-advance self entries at the row tail
-        // (fixed-width rows, sorted descending); a zero advance never
-        // makes greedy progress, so reaching the tail means the hop
-        // fails. Static plans drop zero advances at compile time, so the
-        // guard is inert there.
-        if entry.key == 0 {
-            return None;
-        }
-        let advance = u64::from(entry.key);
-        if advance <= remaining && alive_bit(words, entry.target) {
-            return Some((advance, entry.target));
-        }
+impl RowSource for PlanRows<'_> {
+    #[inline(always)]
+    fn row(&mut self, rank: u32) -> &[PlanEntry] {
+        let (start, end) = self.bounds(rank);
+        &self.entries[start..end]
     }
-    None
-}
 
-/// One tree hop over a single plan row: probe the level of the highest
-/// differing bit, no fallback. Returns the entry's value and rank.
-#[inline]
-fn tree_hop_row(
-    row: &[PlanEntry],
-    words: &[u64],
-    bits: u32,
-    current: u64,
-    target: u64,
-) -> Option<(u64, u32)> {
-    let level = leading_level(bits, current ^ target);
-    let entry = row[level];
-    (entry.target != NO_ENTRY && alive_bit(words, entry.target))
-        .then(|| (u64::from(entry.key), entry.target))
-}
-
-/// One XOR hop over a single plan row: the bucket of the highest differing
-/// bit when alive (the provable minimum), else the XOR-closest alive contact
-/// among the lower-order buckets. Returns the contact's value and rank.
-#[inline]
-fn xor_hop_row(
-    row: &[PlanEntry],
-    words: &[u64],
-    bits: u32,
-    current: u64,
-    target: u64,
-) -> Option<(u64, u32)> {
-    let diff = current ^ target;
-    let level = leading_level(bits, diff);
-    let primary = row[level];
-    if primary.target != NO_ENTRY && alive_bit(words, primary.target) {
-        return Some((u64::from(primary.key), primary.target));
-    }
-    // Fallback: buckets above `level` can never beat the current
-    // distance; buckets below compete on their (precomputed) contact
-    // values' XOR distance to the target. Strictly-smaller keeps the
-    // scalar path's first-minimum tie behaviour.
-    let mut best: Option<(u64, u64, u32)> = None;
-    for entry in &row[level + 1..bits as usize] {
-        if entry.target == NO_ENTRY || !alive_bit(words, entry.target) {
-            continue;
-        }
-        let value = u64::from(entry.key);
-        let distance = value ^ target;
-        if distance < diff && best.is_none_or(|(d, _, _)| distance < d) {
-            best = Some((distance, value, entry.target));
+    /// Fixed-stride plans (every full population) know the row address
+    /// without a load, so the entry line itself is prefetched — two lines for
+    /// wide rows, because the ring scan reads deeper into the row as the
+    /// remaining distance shrinks. Ragged plans would need `offsets[rank]`
+    /// first, so only that offset line is prefetched and the entry row is
+    /// left to the demand load.
+    #[inline]
+    fn prefetch(&self, rank: u32) {
+        match self.stride {
+            Some(stride) => {
+                let start = rank as usize * stride as usize;
+                batch::prefetch_read(self.entries, start);
+                if stride > 8 {
+                    // A PlanEntry is 8 bytes: lines hold 8 entries.
+                    batch::prefetch_read(self.entries, start + 8);
+                }
+            }
+            None => batch::prefetch_read(self.offsets, rank as usize),
         }
     }
-    best.map(|(_, value, next)| (value, next))
-}
-
-/// One hypercube hop over a single plan row: the first (highest-weight) entry
-/// whose bit is still set in `diff` and alive. Returns the corrected bit
-/// weight and the new rank.
-#[inline]
-fn cube_hop_row(row: &[PlanEntry], words: &[u64], diff: u64) -> Option<(u64, u32)> {
-    for entry in row {
-        if diff & u64::from(entry.key) != 0 && alive_bit(words, entry.target) {
-            return Some((u64::from(entry.key), entry.target));
-        }
-    }
-    None
 }
 
 /// The bucket/level (0 = most significant) of the highest set bit of a
@@ -1040,73 +1019,6 @@ fn cube_hop_row(row: &[PlanEntry], words: &[u64], diff: u64) -> Option<(u64, u32
 fn leading_level(bits: u32, diff: u64) -> usize {
     debug_assert_ne!(diff, 0);
     (diff.leading_zeros() - (64 - bits)) as usize
-}
-
-/// Lowers one fixed-width live table row into plan entries.
-///
-/// The live lowering differs from the static one in exactly one way: the row
-/// width is preserved. Ring rows keep duplicate advances and zero-advance
-/// self entries (sorted descending so real advances come first and the
-/// `ring_hop` zero guard stops at the tail); prefix and hypercube rows are
-/// positional and already fixed-width, with self placeholders lowered to
-/// [`NO_ENTRY`]. Shared by [`RoutingKernel::compile_live`] (all rows) and
-/// [`RoutingKernel::relower_rank`] (one row).
-fn lower_live_row(
-    rule: KernelRule,
-    space: KeySpace,
-    node: NodeId,
-    table: &[NodeId],
-    rank_of: &impl Fn(NodeId) -> u32,
-    entries: &mut Vec<PlanEntry>,
-) {
-    match rule {
-        KernelRule::RingAdvance => {
-            let mut row: Vec<(u32, u32)> = table
-                .iter()
-                .map(|&entry| {
-                    let advance = ring_distance_raw(node.value(), entry.value(), space);
-                    (advance as u32, rank_of(entry))
-                })
-                .collect();
-            row.sort_unstable();
-            entries.extend(row.iter().rev().map(|&(advance, target)| PlanEntry {
-                key: advance,
-                target,
-            }));
-        }
-        KernelRule::PrefixXor | KernelRule::PrefixTree => {
-            for &entry in table {
-                if entry == node {
-                    entries.push(PlanEntry {
-                        key: 0,
-                        target: NO_ENTRY,
-                    });
-                } else {
-                    entries.push(PlanEntry {
-                        key: entry.value() as u32,
-                        target: rank_of(entry),
-                    });
-                }
-            }
-        }
-        KernelRule::HypercubeBit => {
-            for &entry in table {
-                if entry == node {
-                    entries.push(PlanEntry {
-                        key: 0,
-                        target: NO_ENTRY,
-                    });
-                } else {
-                    let weight = node.value() ^ entry.value();
-                    debug_assert_eq!(weight.count_ones(), 1, "hypercube links flip one bit");
-                    entries.push(PlanEntry {
-                        key: weight as u32,
-                        target: rank_of(entry),
-                    });
-                }
-            }
-        }
-    }
 }
 
 /// Clockwise ring distance over raw values (the kernel never constructs

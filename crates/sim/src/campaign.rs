@@ -11,15 +11,14 @@
 //!
 //! [`TrialEngine::run_campaign_trial`] drives the identical sharded loop as
 //! [`TrialEngine::run_trial`] — same shard grid, same per-shard RNG streams,
-//! same shard-order fold — so campaign tallies inherit the engine's
-//! thread-count-invariance contract, and the embedded [`TrialTally`] is
-//! bit-identical to what `run_trial` reports for the same inputs.
+//! same routing branch (the batched kernel on either backend, else the
+//! scalar fallback), same shard-order fold — so campaign tallies inherit the
+//! engine's thread-count-invariance contract, and the embedded
+//! [`TrialTally`] is bit-identical to what `run_trial` reports for the same
+//! inputs.
 
-use crate::engine::{BatchScratch, ShardTally, TrialEngine, TrialTally};
-use crate::pair_sampler::PairSampler;
-use dht_overlay::{
-    default_route_hop_limit, route_prevalidated, FailureMask, Overlay, RouteOutcome,
-};
+use crate::engine::{ShardTally, TrialEngine, TrialTally};
+use dht_overlay::{FailureMask, Overlay, RouteOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Distribution of hop depths at which dropped messages got stuck.
@@ -131,6 +130,10 @@ impl ShardTally for CampaignTally {
     fn fold(&mut self, other: &Self) {
         self.merge(other);
     }
+
+    fn record(&mut self, outcome: RouteOutcome) {
+        CampaignTally::record(self, outcome);
+    }
 }
 
 impl TrialEngine {
@@ -153,50 +156,7 @@ impl TrialEngine {
     where
         O: Overlay + ?Sized,
     {
-        let sampler = PairSampler::new(mask)?;
-        let space = mask.key_space();
-        assert_eq!(
-            space.bits(),
-            overlay.key_space().bits(),
-            "mask is from a different key space than the overlay"
-        );
-        let hop_limit = default_route_hop_limit(overlay);
-        let tally = match overlay.kernel() {
-            Some(kernel) => {
-                let lowered = kernel.compile_mask(mask);
-                let words = lowered.words();
-                self.run_shards(
-                    pairs,
-                    pair_seed,
-                    BatchScratch::new,
-                    |budget, rng, tally: &mut CampaignTally, scratch: &mut BatchScratch| {
-                        scratch.route_shard(kernel, words, &sampler, budget, hop_limit, rng);
-                        // Draw order, exactly like the plain trial path.
-                        for &outcome in &scratch.outcomes {
-                            tally.record(outcome);
-                        }
-                    },
-                )
-            }
-            None => self.run_shards(
-                pairs,
-                pair_seed,
-                || (),
-                |budget, rng, tally: &mut CampaignTally, ()| {
-                    for _ in 0..budget {
-                        let (source, target) = sampler.sample_values(rng);
-                        tally.record(route_prevalidated(
-                            overlay,
-                            space.wrap(source),
-                            space.wrap(target),
-                            mask,
-                            hop_limit,
-                        ));
-                    }
-                },
-            ),
-        };
-        Some(tally)
+        self.run_routed(overlay, mask, pairs, pair_seed)
     }
 }
 
@@ -258,6 +218,36 @@ mod tests {
         for threads in [2, 8] {
             let tally = TrialEngine::new(threads).run_campaign_trial(&overlay, &mask, 8_000, 21);
             assert_eq!(reference, tally, "threads = {threads}");
+        }
+    }
+
+    /// Campaigns on an implicit overlay take the engine's kernel branch
+    /// (generated rows), and must tally exactly like the materialized twin
+    /// built from the same construction stream.
+    #[test]
+    fn implicit_campaigns_match_the_materialized_twin() {
+        use dht_overlay::ImplicitOverlay;
+
+        let stream_seed = 19;
+        let implicit = ImplicitOverlay::xor(10, stream_seed).unwrap();
+        let materialized =
+            KademliaOverlay::build(10, &mut ChaCha8Rng::seed_from_u64(stream_seed)).unwrap();
+        let mask = FailurePlan::SegmentCorrelated {
+            fraction: 0.3,
+            segments: 5,
+        }
+        .lower(&materialized, 7);
+        for threads in [1, 3] {
+            let engine = TrialEngine::new(threads);
+            let twin = engine
+                .run_campaign_trial(&materialized, &mask, 6_000, 29)
+                .unwrap();
+            assert!(twin.stuck_depth.total() > 0, "the campaign drops messages");
+            assert_eq!(
+                engine.run_campaign_trial(&implicit, &mask, 6_000, 29),
+                Some(twin),
+                "threads = {threads}"
+            );
         }
     }
 

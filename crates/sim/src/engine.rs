@@ -23,27 +23,27 @@
 //! spot, and each worker thread reuses one scratch allocation (its routing
 //! frontier and pair buffer) across every shard it executes.
 //!
-//! When the overlay exposes a compiled kernel, shards route through the
-//! **batched lockstep path** ([`RoutingKernel::route_batch`]): the shard's
-//! whole pair budget is drawn in one [`PairSampler::sample_values_into`] call
-//! (the identical RNG stream as per-pair draws), routed with up to a
-//! [`RouteBatch`] width of lookups in flight, and recorded in draw order —
-//! so the batched engine's tallies are bit-identical to the per-route
-//! engine's, which are bit-identical to the scalar path's.
-//!
-//! Overlays with no materialized kernel but an **implicit** one
-//! ([`dht_overlay::ImplicitOverlay`], beyond the materialized ceiling) run
-//! the same lockstep scheme through [`ImplicitKernel::route_batch`]: each
-//! worker carries one [`ImplicitRowCache`] in its scratch, so plan rows are
-//! regenerated per worker and the engine's resident set stays mask +
-//! O(cache) bytes regardless of the overlay size.
+//! When the overlay exposes a routing kernel — a compiled plan
+//! ([`Overlay::kernel`]) or, beyond the materialized ceiling, generated rows
+//! ([`Overlay::implicit_kernel`], [`dht_overlay::ImplicitOverlay`]) — shards
+//! take the one **batched lockstep path**: the shard's whole pair budget is
+//! drawn in one [`PairSampler::sample_values_into`] call (the identical RNG
+//! stream as per-pair draws), routed through the kernel's `route_batch` with
+//! up to a [`RouteBatch`] width of lookups in flight, and recorded in draw
+//! order — so the batched engine's tallies are bit-identical to the
+//! per-route engine's, which are bit-identical to the scalar path's, on
+//! either backend. A worker routing generated rows also carries one
+//! [`ImplicitRowCache`] in its scratch, so rows are regenerated per worker
+//! and the engine's resident set stays mask + O(cache) bytes regardless of
+//! the overlay size. Overlays with no kernel at all (third-party
+//! [`Overlay`] implementations) route pair by pair through the scalar path.
 
 use crate::pair_sampler::PairSampler;
 use crate::rng::SeedSequence;
 use dht_mathkit::stats::RunningStats;
 use dht_overlay::{
     default_route_hop_limit, route_prevalidated, FailureMask, ImplicitKernel, ImplicitRowCache,
-    Overlay, RouteBatch, RouteOutcome, RoutingKernel,
+    KernelMask, Overlay, RouteBatch, RouteOutcome, RoutingKernel,
 };
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -130,11 +130,18 @@ pub(crate) trait ShardTally: Default + Clone + Send {
     /// Folds `other` into `self`; the engine always calls this in shard
     /// order.
     fn fold(&mut self, other: &Self);
+
+    /// Records one route outcome (in draw order).
+    fn record(&mut self, outcome: RouteOutcome);
 }
 
 impl ShardTally for TrialTally {
     fn fold(&mut self, other: &Self) {
         self.merge(other);
+    }
+
+    fn record(&mut self, outcome: RouteOutcome) {
+        TrialTally::record(self, outcome);
     }
 }
 
@@ -214,17 +221,18 @@ impl TrialEngine {
     /// [`SeedSequence`] streams; the result is a pure function of
     /// `(overlay, mask, pairs, pair_seed, pairs_per_shard)`.
     ///
-    /// When the overlay exposes a compiled routing kernel
-    /// ([`Overlay::kernel`]) the pairs are routed through its **batched
-    /// lockstep path**: the mask is lowered into rank space once (memoized
-    /// per mask generation), its bitset words are resolved once for the whole
-    /// trial, and each shard draws its full pair budget in one call and
-    /// routes it with up to a frontier's width of lookups in flight
-    /// ([`RoutingKernel::route_batch`]). Batched outcomes are bit-identical
-    /// per pair to the per-route kernel path, which is bit-identical to the
-    /// scalar path (the `kernel_equivalence` and `batch_equivalence` suites
-    /// prove it), and outcomes are recorded in draw order — so which path ran
-    /// is not observable in the tally.
+    /// When the overlay exposes a routing kernel ([`Overlay::kernel`] or
+    /// [`Overlay::implicit_kernel`]) the pairs are routed through its
+    /// **batched lockstep path**: the mask is lowered into rank space once
+    /// (memoized per mask generation), its bitset words are resolved once for
+    /// the whole trial, and each shard draws its full pair budget in one call
+    /// and routes it with up to a frontier's width of lookups in flight
+    /// ([`RoutingKernel::route_batch`] / [`ImplicitKernel::route_batch`]).
+    /// Batched outcomes are bit-identical per pair to the per-route kernel
+    /// path, which is bit-identical to the scalar path (the
+    /// `kernel_equivalence`, `batch_equivalence` and `implicit_equivalence`
+    /// suites prove it), and outcomes are recorded in draw order — so which
+    /// path ran is not observable in the tally.
     pub fn run_trial<O>(
         &self,
         overlay: &O,
@@ -233,6 +241,24 @@ impl TrialEngine {
         pair_seed: u64,
     ) -> Option<TrialTally>
     where
+        O: Overlay + ?Sized,
+    {
+        self.run_routed(overlay, mask, pairs, pair_seed)
+    }
+
+    /// Routes a trial's sampled pairs and folds every outcome into a `T` —
+    /// the body of [`TrialEngine::run_trial`] and
+    /// [`TrialEngine::run_campaign_trial`], which differ only in the tally
+    /// they record into. `None` when fewer than two nodes survive.
+    pub(crate) fn run_routed<T, O>(
+        &self,
+        overlay: &O,
+        mask: &FailureMask,
+        pairs: u64,
+        pair_seed: u64,
+    ) -> Option<T>
+    where
+        T: ShardTally,
         O: Overlay + ?Sized,
     {
         let sampler = PairSampler::new(mask)?;
@@ -246,7 +272,7 @@ impl TrialEngine {
             "mask is from a different key space than the overlay"
         );
         let hop_limit = default_route_hop_limit(overlay);
-        let tally = if let Some(kernel) = overlay.kernel() {
+        let tally = if let Some(kernel) = ShardKernel::of(overlay) {
             let lowered = kernel.compile_mask(mask);
             // Resolve the mask representation to its bitset words once
             // per trial; shards route against the bare slice.
@@ -254,26 +280,12 @@ impl TrialEngine {
             self.run_shards(
                 pairs,
                 pair_seed,
-                BatchScratch::new,
-                |budget, rng, tally: &mut TrialTally, scratch: &mut BatchScratch| {
+                BatchScratch::default,
+                |budget, rng, tally: &mut T, scratch: &mut BatchScratch| {
                     scratch.route_shard(kernel, words, &sampler, budget, hop_limit, rng);
                     // Draw order, not retirement order: the tally's
                     // floating-point hop statistics must fold exactly as
                     // the per-route path folds them.
-                    for &outcome in &scratch.outcomes {
-                        tally.record(outcome);
-                    }
-                },
-            )
-        } else if let Some(kernel) = overlay.implicit_kernel() {
-            let lowered = kernel.compile_mask(mask);
-            let words = lowered.words();
-            self.run_shards(
-                pairs,
-                pair_seed,
-                || ImplicitScratch::new(kernel),
-                |budget, rng, tally: &mut TrialTally, scratch: &mut ImplicitScratch| {
-                    scratch.route_shard(kernel, words, &sampler, budget, hop_limit, rng);
                     for &outcome in &scratch.outcomes {
                         tally.record(outcome);
                     }
@@ -284,7 +296,7 @@ impl TrialEngine {
                 pairs,
                 pair_seed,
                 || (),
-                |budget, rng, tally: &mut TrialTally, ()| {
+                |budget, rng, tally: &mut T, ()| {
                     for _ in 0..budget {
                         let (source, target) = sampler.sample_values(rng);
                         tally.record(route_prevalidated(
@@ -376,34 +388,56 @@ impl TrialEngine {
     }
 }
 
+/// An overlay's routing kernel, whichever backend serves its rows.
+#[derive(Clone, Copy)]
+enum ShardKernel<'o> {
+    /// A compiled plan (materialized tables).
+    Plan(&'o RoutingKernel),
+    /// Rows regenerated on demand (the implicit backend).
+    Generated(&'o ImplicitKernel),
+}
+
+impl<'o> ShardKernel<'o> {
+    fn of<O: Overlay + ?Sized>(overlay: &'o O) -> Option<Self> {
+        overlay
+            .kernel()
+            .map(ShardKernel::Plan)
+            .or_else(|| overlay.implicit_kernel().map(ShardKernel::Generated))
+    }
+
+    fn compile_mask(self, mask: &FailureMask) -> KernelMask<'_> {
+        match self {
+            ShardKernel::Plan(kernel) => kernel.compile_mask(mask),
+            ShardKernel::Generated(kernel) => kernel.compile_mask(mask),
+        }
+    }
+}
+
 /// Per-worker scratch of the batched kernel path: one routing frontier, one
-/// pair buffer and one outcome buffer, reused across every shard the worker
-/// executes — the engine's only allocations after the first shard.
-pub(crate) struct BatchScratch {
+/// pair buffer, one outcome buffer and — for generated rows — one row
+/// cache, reused across every shard the worker executes: the engine's only
+/// allocations after the first shard. Row regeneration state stays
+/// worker-local, so the shared kernel never synchronises.
+#[derive(Default)]
+struct BatchScratch {
     batch: RouteBatch,
+    /// Made on the worker's first shard over generated rows.
+    cache: Option<ImplicitRowCache>,
     pairs: Vec<(u64, u64)>,
     /// The shard's outcomes in draw order after a
     /// [`BatchScratch::route_shard`] call; callers fold these into their
     /// tally of choice.
-    pub(crate) outcomes: Vec<RouteOutcome>,
+    outcomes: Vec<RouteOutcome>,
 }
 
 impl BatchScratch {
-    pub(crate) fn new() -> Self {
-        BatchScratch {
-            batch: RouteBatch::default(),
-            pairs: Vec::new(),
-            outcomes: Vec::new(),
-        }
-    }
-
     /// Routes one shard through the batched lockstep path: draw the whole
     /// budget (the identical RNG stream as per-pair draws), route it with a
     /// full frontier, and leave the outcomes in `self.outcomes` in draw
     /// order for the caller to record.
-    pub(crate) fn route_shard(
+    fn route_shard(
         &mut self,
-        kernel: &RoutingKernel,
+        kernel: ShardKernel<'_>,
         alive_words: &[u64],
         sampler: &PairSampler<'_>,
         budget: u64,
@@ -411,57 +445,23 @@ impl BatchScratch {
         rng: &mut ChaCha8Rng,
     ) {
         sampler.sample_values_into(budget, rng, &mut self.pairs);
-        kernel.route_batch(
-            &mut self.batch,
-            alive_words,
-            &self.pairs,
-            hop_limit,
-            &mut self.outcomes,
-        );
-    }
-}
-
-/// Per-worker scratch of the implicit backend: the batched path's frontier
-/// and buffers plus one [`ImplicitRowCache`] — row regeneration state stays
-/// worker-local, so the shared kernel never synchronises and the engine's
-/// resident set is bounded by threads × cache size, not the overlay size.
-pub(crate) struct ImplicitScratch {
-    batch: RouteBatch,
-    cache: ImplicitRowCache,
-    pairs: Vec<(u64, u64)>,
-    pub(crate) outcomes: Vec<RouteOutcome>,
-}
-
-impl ImplicitScratch {
-    pub(crate) fn new(kernel: &ImplicitKernel) -> Self {
-        ImplicitScratch {
-            batch: RouteBatch::default(),
-            cache: kernel.row_cache(),
-            pairs: Vec::new(),
-            outcomes: Vec::new(),
+        match kernel {
+            ShardKernel::Plan(kernel) => kernel.route_batch(
+                &mut self.batch,
+                alive_words,
+                &self.pairs,
+                hop_limit,
+                &mut self.outcomes,
+            ),
+            ShardKernel::Generated(kernel) => kernel.route_batch(
+                &mut self.batch,
+                self.cache.get_or_insert_with(|| kernel.row_cache()),
+                alive_words,
+                &self.pairs,
+                hop_limit,
+                &mut self.outcomes,
+            ),
         }
-    }
-
-    /// The implicit counterpart of [`BatchScratch::route_shard`]: identical
-    /// draw stream, identical lockstep admission, outcomes in draw order.
-    pub(crate) fn route_shard(
-        &mut self,
-        kernel: &ImplicitKernel,
-        alive_words: &[u64],
-        sampler: &PairSampler<'_>,
-        budget: u64,
-        hop_limit: u32,
-        rng: &mut ChaCha8Rng,
-    ) {
-        sampler.sample_values_into(budget, rng, &mut self.pairs);
-        kernel.route_batch(
-            &mut self.batch,
-            &mut self.cache,
-            alive_words,
-            &self.pairs,
-            hop_limit,
-            &mut self.outcomes,
-        );
     }
 }
 
