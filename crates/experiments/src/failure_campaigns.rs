@@ -60,6 +60,9 @@ pub struct FailureCampaignPoint {
 /// length, rounds, propagation) are taken as-is, while their fraction knob
 /// is re-targeted to each value of `failed_fractions` via
 /// [`FailurePlan::with_fraction`].
+///
+/// This is also the parameter block of the `FailureCampaign` spec variant.
+/// The seed and the thread budget come from the spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureCampaignConfig {
     /// Identifier-space bits (full population).
@@ -74,10 +77,6 @@ pub struct FailureCampaignConfig {
     pub pairs: u64,
     /// Independent failure patterns per grid point.
     pub patterns: u32,
-    /// Worker-thread budget (results are thread-count invariant).
-    pub threads: usize,
-    /// Master seed; each grid point derives its own child streams.
-    pub seed: u64,
 }
 
 impl FailureCampaignConfig {
@@ -92,8 +91,6 @@ impl FailureCampaignConfig {
             failed_fractions: vec![0.2, 0.4],
             pairs: 1_500,
             patterns: 2,
-            threads: 2,
-            seed: 2006,
         }
     }
 
@@ -108,8 +105,6 @@ impl FailureCampaignConfig {
             failed_fractions: vec![0.1, 0.2, 0.3, 0.4, 0.5],
             pairs: 20_000,
             patterns: 3,
-            threads: 8,
-            seed: 2006,
         }
     }
 
@@ -185,8 +180,8 @@ pub fn default_plan_templates() -> Vec<FailurePlan> {
 }
 
 /// Runs one grid point: `plan` re-targeted at `fraction`, lowered
-/// `config.patterns` times over `overlay`, each pattern routed and its
-/// alive graph decomposed into components.
+/// `config.patterns` times over `overlay`, each pattern routed on `threads`
+/// workers and its alive graph decomposed into components.
 ///
 /// Pattern `t` lowers its mask from child `2t` and routes its pairs from
 /// child `2t + 1` of a [`SeedSequence`] rooted at `seed`, so mask and
@@ -204,9 +199,10 @@ pub fn run_point(
     plan: &FailurePlan,
     fraction: f64,
     seed: u64,
+    threads: usize,
 ) -> FailureCampaignPoint {
     let plan = plan.with_fraction(fraction);
-    let engine = TrialEngine::new(config.threads);
+    let engine = TrialEngine::new(threads);
     let seeds = SeedSequence::new(seed);
     let mut merged = CampaignTally::default();
     let mut patterns_measured = 0u32;
@@ -251,27 +247,39 @@ pub const GEOMETRIES: [&str; 5] = ["ring", "xor", "tree", "hypercube", "symphony
 
 /// Sweeps the full geometry × plan × failed-fraction grid.
 ///
-/// Each geometry's overlay is built once from `config.seed` (child 0, the
+/// Each geometry's overlay is built once from `seed` (child 0, the
 /// repository-wide convention — see [`build_full_overlay`]), so every plan
 /// and fraction attacks the *same* overlay instance and differences are
 /// attributable to the fault structure alone. Grid point `k` (in sweep
 /// order) is seeded with child `k + 1` of a [`SeedSequence`] rooted at
-/// `config.seed`; child 0 stays reserved for overlay construction.
+/// `seed`; child 0 stays reserved for overlay construction. Results do not
+/// depend on `threads`.
 ///
 /// # Errors
 ///
 /// Returns [`SpecError`] for invalid configurations or unknown geometries.
-pub fn run_grid(config: &FailureCampaignConfig) -> Result<Vec<FailureCampaignPoint>, SpecError> {
+pub fn run_grid(
+    config: &FailureCampaignConfig,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<FailureCampaignPoint>, SpecError> {
     config.validate()?;
-    let seeds = SeedSequence::new(config.seed);
+    let seeds = SeedSequence::new(seed);
     let mut points = Vec::new();
     let mut point_index = 0u64;
     for geometry in &config.geometries {
-        let overlay = build_full_overlay(geometry, config.bits, config.seed)?;
+        let overlay = build_full_overlay(geometry, config.bits, seed)?;
         for plan in &config.plans {
             for &fraction in &config.failed_fractions {
-                let seed = seeds.child(point_index + 1);
-                points.push(run_point(config, overlay.as_ref(), plan, fraction, seed));
+                let point_seed = seeds.child(point_index + 1);
+                points.push(run_point(
+                    config,
+                    overlay.as_ref(),
+                    plan,
+                    fraction,
+                    point_seed,
+                    threads,
+                ));
                 point_index += 1;
             }
         }
@@ -279,7 +287,7 @@ pub fn run_grid(config: &FailureCampaignConfig) -> Result<Vec<FailureCampaignPoi
     Ok(points)
 }
 
-/// Renders grid points as the fixed-width table the binary prints.
+/// Renders grid points as the fixed-width table `scenario exp` prints.
 #[must_use]
 pub fn render_failure_campaign_table(points: &[FailureCampaignPoint]) -> String {
     use std::fmt::Write as _;
@@ -343,8 +351,6 @@ mod tests {
             failed_fractions: vec![0.35],
             pairs: 6_000,
             patterns: 3,
-            threads: 2,
-            seed: 2006,
         }
     }
 
@@ -372,7 +378,7 @@ mod tests {
         // geometries fear and XOR geometries shrug off — instead of
         // papering over it.
         let config = ordering_config();
-        let points = run_grid(&config).unwrap();
+        let points = run_grid(&config, 2006, 2).unwrap();
         let delivered = |geometry: &str, plan: &str| {
             points
                 .iter()
@@ -411,19 +417,21 @@ mod tests {
 
     #[test]
     fn campaign_grids_are_invariant_under_thread_count() {
-        let mut config = FailureCampaignConfig::smoke();
-        config.threads = 1;
-        let reference = run_grid(&config).unwrap();
+        let config = FailureCampaignConfig::smoke();
+        let reference = run_grid(&config, 2006, 1).unwrap();
         for threads in [2, 8] {
-            config.threads = threads;
-            assert_eq!(reference, run_grid(&config).unwrap(), "threads = {threads}");
+            assert_eq!(
+                reference,
+                run_grid(&config, 2006, threads).unwrap(),
+                "threads = {threads}"
+            );
         }
     }
 
     #[test]
     fn smoke_grid_covers_every_plan_and_reports_sane_metrics() {
         let config = FailureCampaignConfig::smoke();
-        let points = run_grid(&config).unwrap();
+        let points = run_grid(&config, 2006, 2).unwrap();
         assert_eq!(
             points.len(),
             config.geometries.len() * config.plans.len() * config.failed_fractions.len()
@@ -471,7 +479,7 @@ mod tests {
     #[test]
     fn uniform_delivery_degrades_with_the_failed_fraction() {
         let config = FailureCampaignConfig::smoke();
-        let points = run_grid(&config).unwrap();
+        let points = run_grid(&config, 2006, 2).unwrap();
         for geometry in &config.geometries {
             let uniform: Vec<&FailureCampaignPoint> = points
                 .iter()
@@ -489,12 +497,12 @@ mod tests {
     fn invalid_configurations_are_rejected() {
         let mut config = FailureCampaignConfig::smoke();
         config.failed_fractions = vec![1.5];
-        assert!(run_grid(&config).is_err());
+        assert!(run_grid(&config, 2006, 2).is_err());
         let mut config = FailureCampaignConfig::smoke();
         config.plans.clear();
-        assert!(run_grid(&config).is_err());
+        assert!(run_grid(&config, 2006, 2).is_err());
         let mut config = FailureCampaignConfig::smoke();
         config.geometries = vec!["torus".to_owned()];
-        assert!(run_grid(&config).is_err());
+        assert!(run_grid(&config, 2006, 2).is_err());
     }
 }

@@ -17,23 +17,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Fig. 6 reproduction.
+/// Configuration of the Fig. 6 reproduction — also the parameter block of
+/// the `Fig6a`, `Fig6b` and `RingBoundGap` spec variants. The seed and the
+/// thread budget come from the spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig6Config {
     /// Identifier length used for the analytical curves (the paper uses 16).
     pub analytical_bits: u32,
     /// Identifier length used for the simulated overlays. The paper's
-    /// `2^16` is the default for the binaries; tests and benches use smaller
+    /// `2^16` is the paper-scale default; tests and benches use smaller
     /// sizes for speed.
     pub simulation_bits: u32,
     /// Source/destination pairs sampled per grid point.
     pub pairs: u64,
-    /// Master seed for overlay construction, failure patterns and sampling.
-    pub seed: u64,
     /// Failure-probability grid (fractions in `[0, 1)`).
     pub grid: Vec<f64>,
-    /// Worker threads per measurement.
-    pub threads: usize,
 }
 
 impl Fig6Config {
@@ -45,9 +43,7 @@ impl Fig6Config {
             analytical_bits: 16,
             simulation_bits: 16,
             pairs: 20_000,
-            seed: 2006,
             grid: dht_mathkit::percent_grid(90, 5),
-            threads: 4,
         }
     }
 
@@ -58,9 +54,7 @@ impl Fig6Config {
             analytical_bits: 16,
             simulation_bits: 10,
             pairs: 2_000,
-            seed: 2006,
             grid: dht_mathkit::percent_grid(80, 20),
-            threads: 1,
         }
     }
 }
@@ -105,13 +99,19 @@ impl From<SimError> for Fig6Error {
 }
 
 /// Runs Fig. 6(a): tree, hypercube and XOR, analysis plus simulation.
+/// `seed` drives overlay construction, failure patterns and pair sampling;
+/// `threads` is the worker budget per measurement.
 ///
 /// # Errors
 ///
 /// Returns [`Fig6Error`] if any component fails; degenerate analytical points
 /// (too few expected survivors) are skipped like the paper's plot simply ends.
-pub fn fig6a(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+pub fn fig6a(
+    config: &Fig6Config,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<SimulationRecord>, Fig6Error> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let tree_overlay = PlaxtonOverlay::build(config.simulation_bits, &mut rng)?;
     let cube_overlay = CanOverlay::build(config.simulation_bits)?;
     let xor_overlay = KademliaOverlay::build(config.simulation_bits, &mut rng)?;
@@ -120,6 +120,8 @@ pub fn fig6a(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
     collect_geometry(
         "fig6a",
         config,
+        seed,
+        threads,
         &Geometry::tree(),
         &tree_overlay,
         &mut records,
@@ -127,6 +129,8 @@ pub fn fig6a(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
     collect_geometry(
         "fig6a",
         config,
+        seed,
+        threads,
         &Geometry::hypercube(),
         &cube_overlay,
         &mut records,
@@ -134,6 +138,8 @@ pub fn fig6a(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
     collect_geometry(
         "fig6a",
         config,
+        seed,
+        threads,
         &Geometry::xor(),
         &xor_overlay,
         &mut records,
@@ -146,7 +152,11 @@ pub fn fig6a(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
 /// # Errors
 ///
 /// See [`fig6a`].
-pub fn fig6b(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
+pub fn fig6b(
+    config: &Fig6Config,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<SimulationRecord>, Fig6Error> {
     // Classic (deterministic-finger) Chord, as simulated by Gummadi et al.;
     // the paper's analysis uses the randomised variant, whose extra finger
     // placement noise is exactly what the lower-bound model abstracts away.
@@ -155,6 +165,8 @@ pub fn fig6b(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
     collect_geometry(
         "fig6b",
         config,
+        seed,
+        threads,
         &Geometry::ring(),
         &ring_overlay,
         &mut records,
@@ -167,6 +179,8 @@ pub fn fig6b(config: &Fig6Config) -> Result<Vec<SimulationRecord>, Fig6Error> {
 fn collect_geometry<O>(
     experiment: &str,
     config: &Fig6Config,
+    seed: u64,
+    threads: usize,
     geometry: &Geometry,
     overlay: &O,
     records: &mut Vec<SimulationRecord>,
@@ -183,8 +197,8 @@ where
         };
         let sim_config = StaticResilienceConfig::new(q)?
             .with_pairs(config.pairs)
-            .with_seed(config.seed.wrapping_add(index as u64 * 101))
-            .with_threads(config.threads);
+            .with_seed(seed.wrapping_add(index as u64 * 101))
+            .with_threads(threads);
         let simulated = StaticResilienceExperiment::new(sim_config).run(overlay);
         let mut record = SimulationRecord {
             experiment: experiment.to_owned(),
@@ -210,7 +224,7 @@ mod tests {
     #[test]
     fn fig6a_has_one_record_per_geometry_and_grid_point() {
         let config = Fig6Config::smoke();
-        let records = fig6a(&config).unwrap();
+        let records = fig6a(&config, 2006, 1).unwrap();
         assert_eq!(records.len(), 3 * config.grid.len());
         assert!(records.iter().all(|r| r.experiment == "fig6a"));
     }
@@ -221,7 +235,7 @@ mod tests {
         // which loses at least as many as the hypercube — both analytically
         // and in simulation.
         let config = Fig6Config::smoke();
-        let records = fig6a(&config).unwrap();
+        let records = fig6a(&config, 2006, 1).unwrap();
         for &q in &config.grid {
             if q == 0.0 {
                 continue;
@@ -261,7 +275,7 @@ mod tests {
         config.analytical_bits = 12;
         config.grid = vec![0.1, 0.3, 0.5];
         config.pairs = 5_000;
-        let records = fig6a(&config).unwrap();
+        let records = fig6a(&config, 2006, 1).unwrap();
         for record in &records {
             let (Some(analytic), Some(simulated)) = (
                 record.analytical_failed_percent,
@@ -288,7 +302,7 @@ mod tests {
         config.analytical_bits = 12;
         config.grid = vec![0.1, 0.2, 0.3, 0.5];
         config.pairs = 5_000;
-        let records = fig6b(&config).unwrap();
+        let records = fig6b(&config, 2006, 1).unwrap();
         for record in &records {
             let (Some(analytic), Some(simulated)) = (
                 record.analytical_failed_percent,

@@ -10,7 +10,9 @@ use dht_rcm_core::{routability, Geometry, RcmError, RoutingGeometry, SystemSize}
 use dht_sim::SimulationRecord;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Fig. 7 reproduction.
+/// Configuration of the Fig. 7 reproduction — also the parameter block of
+/// both the `Fig7a` and the `Fig7b` spec variants, each of which reads the
+/// fields of its own panel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig7Config {
     /// Identifier length for the asymptotic panel (the paper uses 100).

@@ -3,9 +3,9 @@
 //!
 //! Each module corresponds to one artifact of the paper's evaluation and
 //! returns plain data (vectors of [`dht_sim::SimulationRecord`] or small
-//! result structs) so the same code drives the command-line binaries in
-//! `src/bin/`, the Criterion benches in `dht-bench`, and the integration
-//! tests.
+//! result structs) so the same code drives the `scenario` command line and
+//! report server in `dht-scenario`, the Criterion benches in `dht-bench`,
+//! and the integration tests.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -23,15 +23,18 @@
 //! | [`implicit_scale`] | beyond the paper: static resilience at `2^26`–`2^30` via implicit tables |
 //!
 //! Every harness takes an explicit seed and sizes, so results are
-//! reproducible and the binaries can run a fast "smoke" configuration in CI
-//! and the full paper-scale configuration when regenerating EXPERIMENTS.md.
+//! reproducible, and every family has a fast "smoke" configuration for CI
+//! beside its full paper-scale one.
 //!
 //! The [`spec`] module is the declarative front door over all of the above:
 //! a serializable [`spec::ScenarioSpec`] describes any experiment (family,
 //! parameters, root seed, thread budget), [`spec::run_spec`] executes it into
-//! a schema-versioned [`spec::ScenarioReport`], and every binary in
-//! `src/bin/` is a one-line [`spec::cli_main`] call accepting `--spec <file>`
-//! uniformly. Reports hit disk through [`output::ReportWriter`].
+//! a schema-versioned [`spec::ScenarioReport`], and
+//! [`spec::Family::default_spec`] gives each family's smoke and paper-scale
+//! spec. A family's parameters are its harness's configuration struct
+//! ([`fig6::Fig6Config`], [`live_churn::LiveChurnGridConfig`], ...) or, for
+//! the families without one, named fields of its variant. Reports hit disk
+//! through [`output::ReportWriter`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -69,7 +69,9 @@ pub struct LiveChurnPoint {
     pub repairs: u64,
 }
 
-/// The session-time × lookup-rate grid a [`run_grid`] call sweeps.
+/// The session-time × lookup-rate grid a [`run_grid`] call sweeps — also
+/// the parameter block of the `LiveChurn` spec variant. The seed and the
+/// thread budget come from the spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LiveChurnGridConfig {
     /// Identifier-space bits (full population).
@@ -86,10 +88,6 @@ pub struct LiveChurnGridConfig {
     pub warmup: f64,
     /// Independent replicas per point.
     pub replicas: u32,
-    /// Worker-thread budget (replicas are the unit of parallelism).
-    pub threads: usize,
-    /// Master seed; each grid point derives its own.
-    pub seed: u64,
 }
 
 impl LiveChurnGridConfig {
@@ -104,8 +102,6 @@ impl LiveChurnGridConfig {
             duration: 12.0,
             warmup: 4.0,
             replicas: 2,
-            threads: 2,
-            seed: 29,
         }
     }
 
@@ -121,8 +117,6 @@ impl LiveChurnGridConfig {
             duration: 30.0,
             warmup: 10.0,
             replicas: 4,
-            threads: 8,
-            seed: 29,
         }
     }
 }
@@ -199,7 +193,8 @@ where
     Ok(Some((expected_reachable / (survivors - 1.0)).min(1.0)))
 }
 
-/// Runs one grid point for one geometry.
+/// Runs one grid point for one geometry, seeded with `seed`, on `threads`
+/// workers (replicas are the unit of parallelism).
 ///
 /// # Errors
 ///
@@ -212,6 +207,7 @@ pub fn run_point(
     lookup_rate: f64,
     repair: bool,
     seed: u64,
+    threads: usize,
 ) -> Result<LiveChurnPoint, SimError> {
     let space = KeySpace::new(grid.bits).map_err(|err| SimError::InvalidConfiguration {
         message: format!("invalid key space: {err}"),
@@ -225,7 +221,7 @@ pub fn run_point(
     .with_warmup(grid.warmup)
     .with_repair(repair)
     .with_replicas(grid.replicas)
-    .with_threads(grid.threads)
+    .with_threads(threads)
     .with_seed(seed);
     let experiment = LiveChurnExperiment::new(config);
     let tally = match geometry {
@@ -291,7 +287,7 @@ pub const GEOMETRIES: [&str; 5] = ["ring", "xor", "tree", "hypercube", "symphony
 /// prediction) and one repaired point.
 ///
 /// Grid point `k` (in sweep order) is seeded with child `k` of a
-/// [`dht_sim::SeedSequence`] rooted at `grid.seed` — the repository-wide
+/// [`dht_sim::SeedSequence`] rooted at `seed` — the repository-wide
 /// convention shared with [`dht_sim::sweep_failure_grid`], so per-point
 /// streams are well-mixed and never correlate across adjacent points or
 /// nearby root seeds.
@@ -299,22 +295,26 @@ pub const GEOMETRIES: [&str; 5] = ["ring", "xor", "tree", "hypercube", "symphony
 /// # Errors
 ///
 /// Returns [`SimError`] as in [`run_point`].
-pub fn run_grid(grid: &LiveChurnGridConfig) -> Result<Vec<LiveChurnPoint>, SimError> {
-    let seeds = dht_sim::SeedSequence::new(grid.seed);
+pub fn run_grid(
+    grid: &LiveChurnGridConfig,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<LiveChurnPoint>, SimError> {
+    let seeds = dht_sim::SeedSequence::new(seed);
     let mut points = Vec::new();
     let mut point_index = 0u64;
     for &session_time in &grid.session_times {
         for &lookup_rate in &grid.lookup_rates {
             for geometry in GEOMETRIES {
                 for repair in [false, true] {
-                    let seed = seeds.child(point_index);
                     points.push(run_point(
                         grid,
                         geometry,
                         session_time,
                         lookup_rate,
                         repair,
-                        seed,
+                        seeds.child(point_index),
+                        threads,
                     )?);
                     point_index += 1;
                 }
@@ -324,7 +324,7 @@ pub fn run_grid(grid: &LiveChurnGridConfig) -> Result<Vec<LiveChurnPoint>, SimEr
     Ok(points)
 }
 
-/// Renders grid points as the fixed-width table the binary prints.
+/// Renders grid points as the fixed-width table `scenario exp` prints.
 #[must_use]
 pub fn render_live_churn_table(points: &[LiveChurnPoint]) -> String {
     use std::fmt::Write as _;
@@ -369,7 +369,8 @@ mod tests {
     use super::*;
 
     /// The steady-state validation scale: `N = 2^8`, `q* = 0.2`, enough
-    /// traffic in the window for ±1% sampling error.
+    /// traffic in the window for ±1% sampling error. Run with seed 17 on
+    /// two threads.
     fn validation_grid() -> LiveChurnGridConfig {
         LiveChurnGridConfig {
             bits: 8,
@@ -379,8 +380,6 @@ mod tests {
             duration: 26.0,
             warmup: 10.0,
             replicas: 2,
-            threads: 2,
-            seed: 17,
         }
     }
 
@@ -391,7 +390,7 @@ mod tests {
         // Markov-chain routability at q* = E[D]/(E[L]+E[D]) = 0.2.
         let grid = validation_grid();
         for geometry in ["ring", "xor"] {
-            let point = run_point(&grid, geometry, 2.0, 600.0, false, grid.seed).unwrap();
+            let point = run_point(&grid, geometry, 2.0, 600.0, false, 17, 2).unwrap();
             assert!(point.attempted > 5_000, "{geometry}: too few lookups");
             let predicted = point
                 .predicted_routability
@@ -415,7 +414,7 @@ mod tests {
     #[test]
     fn repair_mode_restores_near_perfect_delivery() {
         let grid = validation_grid();
-        let point = run_point(&grid, "ring", 2.0, 600.0, true, grid.seed).unwrap();
+        let point = run_point(&grid, "ring", 2.0, 600.0, true, 17, 2).unwrap();
         assert!(point.repairs > 0, "repair mode must rewrite tables");
         assert!(
             point.delivery_ratio >= 0.999,
@@ -428,7 +427,7 @@ mod tests {
     #[test]
     fn smoke_grid_covers_every_geometry_in_both_modes() {
         let grid = LiveChurnGridConfig::smoke();
-        let points = run_grid(&grid).unwrap();
+        let points = run_grid(&grid, 29, 2).unwrap();
         assert_eq!(
             points.len(),
             grid.session_times.len() * grid.lookup_rates.len() * GEOMETRIES.len() * 2
@@ -492,6 +491,6 @@ mod tests {
     #[test]
     fn unknown_geometry_is_rejected() {
         let grid = LiveChurnGridConfig::smoke();
-        assert!(run_point(&grid, "torus", 2.0, 50.0, false, 1).is_err());
+        assert!(run_point(&grid, "torus", 2.0, 50.0, false, 1, 2).is_err());
     }
 }

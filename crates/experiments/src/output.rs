@@ -1,7 +1,7 @@
-//! Result rendering and persistence shared by the experiment binaries.
+//! Result rendering and persistence shared by every experiment run.
 //!
-//! All report emission goes through one [`ReportWriter`]: every binary and
-//! the batch runner write [`ScenarioReport`] envelopes (and, for the Fig. 6/7
+//! All report emission goes through one [`ReportWriter`]: `scenario exp`
+//! and the batch runner write [`ScenarioReport`] envelopes (and, for the Fig. 6/7
 //! record families, companion CSV) to a consistent `results/` layout, in
 //! pretty or compact JSON.
 
@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Renders records as a fixed-width text table (what the binaries print).
+/// Renders records as a fixed-width text table (what `scenario exp` prints).
 #[must_use]
 pub fn render_records_table(records: &[SimulationRecord]) -> String {
     let mut out = String::new();
@@ -44,7 +44,7 @@ fn format_option(value: Option<f64>) -> String {
 /// How a [`ReportWriter`] serializes JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
-    /// Human-oriented, indented JSON (the binaries' default).
+    /// Human-oriented, indented JSON (the `scenario exp` default).
     #[default]
     Pretty,
     /// Single-line JSON (the batch runner and server cache format).
@@ -148,9 +148,8 @@ pub fn sanitize_stem(name: &str) -> String {
     }
 }
 
-/// The default output directory used by the experiment binaries
-/// (`results/` at the workspace root, or the current directory's `results/`
-/// when run elsewhere).
+/// The default output directory of `scenario exp`: `results/` under the
+/// current directory.
 #[must_use]
 pub fn default_output_dir() -> PathBuf {
     PathBuf::from("results")

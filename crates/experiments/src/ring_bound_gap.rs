@@ -22,13 +22,18 @@ pub struct BoundGapPoint {
     pub slack: f64,
 }
 
-/// Measures the bound gap over the configured grid.
+/// Measures the bound gap over the configured grid (`seed` and `threads` as
+/// in [`fig6b`]).
 ///
 /// # Errors
 ///
 /// See [`fig6b`].
-pub fn run(config: &Fig6Config) -> Result<Vec<BoundGapPoint>, Fig6Error> {
-    let records = fig6b(config)?;
+pub fn run(
+    config: &Fig6Config,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<BoundGapPoint>, Fig6Error> {
+    let records = fig6b(config, seed, threads)?;
     Ok(records
         .into_iter()
         .filter_map(|record| {
@@ -59,7 +64,7 @@ mod tests {
 
     #[test]
     fn the_bound_holds_everywhere() {
-        let points = run(&test_config()).unwrap();
+        let points = run(&test_config(), 2006, 1).unwrap();
         assert_eq!(points.len(), 4);
         for point in &points {
             assert!(
@@ -75,7 +80,7 @@ mod tests {
     fn the_bound_is_tight_at_low_failure_probability() {
         // Fig. 6(b): "very close to simulation ... for failure probability
         // less than 20%".
-        let points = run(&test_config()).unwrap();
+        let points = run(&test_config(), 2006, 1).unwrap();
         let low_q = points
             .iter()
             .find(|p| (p.failure_probability - 0.1).abs() < 1e-9)
@@ -89,7 +94,7 @@ mod tests {
 
     #[test]
     fn the_gap_grows_with_failure_probability() {
-        let points = run(&test_config()).unwrap();
+        let points = run(&test_config(), 2006, 1).unwrap();
         let slack_at = |q: f64| {
             points
                 .iter()

@@ -26,7 +26,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the sparse-population resilience experiment.
+/// Configuration of the sparse-population resilience experiment — also the
+/// parameter block of the `SparsePopulation` spec variant. The seed and the
+/// thread budget come from the spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SparsePopulationConfig {
     /// Identifier length `d` of the space.
@@ -37,13 +39,8 @@ pub struct SparsePopulationConfig {
     pub include_full_baseline: bool,
     /// Source/destination pairs sampled per grid point.
     pub pairs: u64,
-    /// Master seed for population sampling, overlay construction, failure
-    /// patterns and pair sampling.
-    pub seed: u64,
     /// Failure-probability grid (fractions in `[0, 1)`).
     pub grid: Vec<f64>,
-    /// Worker threads per measurement (grid points already run concurrently).
-    pub threads: usize,
 }
 
 impl SparsePopulationConfig {
@@ -57,9 +54,7 @@ impl SparsePopulationConfig {
             occupied: 1 << 18,
             include_full_baseline: false,
             pairs: 20_000,
-            seed: 2006,
             grid: dht_mathkit::percent_grid(50, 10),
-            threads: 4,
         }
     }
 
@@ -71,9 +66,7 @@ impl SparsePopulationConfig {
             occupied: 1 << 8,
             include_full_baseline: true,
             pairs: 1_500,
-            seed: 2006,
             grid: vec![0.0, 0.2, 0.4],
-            threads: 1,
         }
     }
 }
@@ -142,7 +135,9 @@ impl From<SimError> for SparsePopulationError {
 
 /// Runs the experiment: ring, XOR and hypercube overlays over the sparse
 /// population (plus, optionally, the full baseline), swept across the failure
-/// grid.
+/// grid. `seed` drives population sampling, overlay construction, failure
+/// patterns and pair sampling; `threads` is the worker budget per
+/// measurement.
 ///
 /// # Errors
 ///
@@ -150,9 +145,11 @@ impl From<SimError> for SparsePopulationError {
 /// overlay cannot be built, or a grid value is invalid.
 pub fn sparse_population_resilience(
     config: &SparsePopulationConfig,
+    seed: u64,
+    threads: usize,
 ) -> Result<Vec<SparsePopulationRecord>, SparsePopulationError> {
     let space = dht_id::KeySpace::new(config.bits).map_err(SparsePopulationError::Id)?;
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let sparse = Population::sample_uniform(space, config.occupied, &mut rng)?;
 
     let mut populations = vec![sparse];
@@ -163,8 +160,8 @@ pub fn sparse_population_resilience(
     let base_config = StaticResilienceConfig::new(0.0)
         .map_err(SparsePopulationError::Sim)?
         .with_pairs(config.pairs)
-        .with_seed(config.seed)
-        .with_threads(config.threads);
+        .with_seed(seed)
+        .with_threads(threads);
 
     let mut records = Vec::new();
     for population in populations {
@@ -240,7 +237,7 @@ mod tests {
     #[test]
     fn smoke_run_covers_both_occupancies_and_all_grid_points() {
         let config = SparsePopulationConfig::smoke();
-        let records = sparse_population_resilience(&config).unwrap();
+        let records = sparse_population_resilience(&config, 2006, 1).unwrap();
         // 3 geometries × 2 populations × grid.
         assert_eq!(records.len(), 3 * 2 * config.grid.len());
         assert!(records.iter().any(|r| r.occupied == 256));
@@ -252,7 +249,7 @@ mod tests {
     #[test]
     fn intact_sparse_ring_and_xor_stay_fully_routable() {
         let config = SparsePopulationConfig::smoke();
-        let records = sparse_population_resilience(&config).unwrap();
+        let records = sparse_population_resilience(&config, 2006, 1).unwrap();
         for record in records
             .iter()
             .filter(|r| r.failure_probability == 0.0 && r.occupied == 256)
@@ -276,7 +273,7 @@ mod tests {
     #[test]
     fn sparse_ring_routability_degrades_with_failure_like_the_full_ring() {
         let config = SparsePopulationConfig::smoke();
-        let records = sparse_population_resilience(&config).unwrap();
+        let records = sparse_population_resilience(&config, 2006, 1).unwrap();
         let ring_sparse: Vec<&SparsePopulationRecord> = records
             .iter()
             .filter(|r| r.geometry == "ring" && r.occupied == 256)
@@ -306,12 +303,11 @@ mod tests {
             occupied: 1 << 18,
             include_full_baseline: false,
             pairs: 300,
-            seed: 7,
             grid: vec![0.0, 0.3],
-            threads: 2,
         };
+        let seed = 7;
         let space = dht_id::KeySpace::new(config.bits).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let population = Population::sample_uniform(space, config.occupied, &mut rng).unwrap();
         assert_eq!(population.node_count(), 1 << 18);
         let overlay =
@@ -319,8 +315,8 @@ mod tests {
         let base = StaticResilienceConfig::new(0.0)
             .unwrap()
             .with_pairs(config.pairs)
-            .with_seed(config.seed)
-            .with_threads(config.threads);
+            .with_seed(seed)
+            .with_threads(2);
         let points = sweep_failure_grid(&overlay, &base, &config.grid).unwrap();
         assert_eq!(points[0].result.occupied_nodes, 1 << 18);
         assert_eq!(points[0].result.routability, 1.0);

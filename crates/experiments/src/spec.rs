@@ -1,10 +1,8 @@
 //! The declarative scenario front door: [`ScenarioSpec`].
 //!
-//! Every experiment of this crate used to be reachable only through its own
-//! binary with its own argument conventions. A `ScenarioSpec` replaces that
-//! with one fully-serializable description — experiment family and
-//! parameters, root seed, thread budget — that can live in a JSON file,
-//! travel over a socket, and be hashed into a stable content key:
+//! A `ScenarioSpec` is one fully-serializable description — experiment
+//! family and parameters, root seed, thread budget — that can live in a
+//! JSON file, travel over a socket, and be hashed into a stable content key:
 //!
 //! * [`ScenarioSpec::from_json`] / [`ScenarioSpec::to_json_pretty`] move
 //!   specs in and out of files (schema-versioned: [`SPEC_SCHEMA`]).
@@ -13,12 +11,10 @@
 //!   `execution` block (thread budgets do not change results; every
 //!   measurement engine in this workspace is thread-count invariant).
 //! * [`run_spec`] executes any spec and returns a schema-versioned
-//!   [`ScenarioReport`] plus the human-readable table the old binaries
-//!   printed.
-//! * [`cli_main`] is the shared binary front end: every experiment binary
-//!   is now `cli_main(Family::X)` and accepts `--spec <file>`, `--smoke`,
-//!   `--out <dir>`, `--compact` and `--threads <n>` uniformly (plus each
-//!   binary's old positional arguments as a deprecated fallback).
+//!   [`ScenarioReport`] plus a human-readable headline and table.
+//! * [`Family::default_spec`] is the canonical spec of each family, at
+//!   paper scale or at the reduced smoke scale; `scenario init` writes
+//!   them out and `scenario exp <family>` runs one.
 //!
 //! ## Seed derivation convention
 //!
@@ -32,12 +28,12 @@ use crate::failure_campaigns::{render_failure_campaign_table, FailureCampaignCon
 use crate::fig3;
 use crate::fig6::{fig6a, fig6b, Fig6Config, Fig6Error};
 use crate::fig7::{fig7a, fig7b, Fig7Config, Fig7bPoint};
-use crate::implicit_scale::{render_implicit_scale_table, ImplicitScaleConfig};
+use crate::implicit_scale::render_implicit_scale_table;
 use crate::live_churn::{
     chain_predicted_routability_with, render_live_churn_table, LiveChurnGridConfig,
 };
 use crate::markov_validation::{self, ValidationError, ValidationRow};
-use crate::output::{default_output_dir, render_records_table, ReportMode, ReportWriter};
+use crate::output::render_records_table;
 use crate::percolation_contrast::{self, ContrastRow};
 use crate::ring_bound_gap::{self, BoundGapPoint};
 use crate::scalability_table;
@@ -48,8 +44,8 @@ use crate::sparse_population::{
 use crate::symphony_ablation::{self, AblationCell};
 use dht_markov::{ChainError, ChainFamily};
 use dht_overlay::{
-    CanOverlay, ChordOverlay, ChordVariant, FailurePlan, KademliaOverlay, Overlay, OverlayError,
-    PlaxtonOverlay, SymphonyOverlay,
+    CanOverlay, ChordOverlay, ChordVariant, KademliaOverlay, Overlay, OverlayError, PlaxtonOverlay,
+    SymphonyOverlay,
 };
 use dht_rcm_core::{classify, routability, Geometry, RcmError, ScalabilityReport, SystemSize};
 use dht_sim::{
@@ -60,7 +56,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::path::PathBuf;
 
 /// Schema identifier written into (and required from) every spec file.
 pub const SPEC_SCHEMA: &str = "dht-scenario/v1";
@@ -157,7 +152,10 @@ pub struct ScenarioSpec {
 
 /// The experiment families a spec can describe, with their parameters.
 ///
-/// Serialized externally tagged: `{"Fig6a": { ... }}`.
+/// Serialized externally tagged: `{"Fig6a": { ... }}`. A family whose
+/// harness has a configuration struct holds that struct, which serializes
+/// to the same object; the seed and the thread budget always come from the
+/// spec, never from the parameter block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExperimentSpec {
     /// The worked 8-node hypercube example of Fig. 1–3.
@@ -168,58 +166,13 @@ pub enum ExperimentSpec {
         trials: u64,
     },
     /// Fig. 6(a): tree/hypercube/XOR failed paths, analysis + simulation.
-    Fig6a {
-        /// Identifier length for the analytical curves.
-        analytical_bits: u32,
-        /// Identifier length for the simulated overlays.
-        simulation_bits: u32,
-        /// Source/destination pairs per grid point.
-        pairs: u64,
-        /// Failure-probability grid.
-        grid: Vec<f64>,
-    },
+    Fig6a(Fig6Config),
     /// Fig. 6(b): ring (Chord) failed paths, analysis + simulation.
-    Fig6b {
-        /// Identifier length for the analytical curves.
-        analytical_bits: u32,
-        /// Identifier length for the simulated overlay.
-        simulation_bits: u32,
-        /// Source/destination pairs per grid point.
-        pairs: u64,
-        /// Failure-probability grid.
-        grid: Vec<f64>,
-    },
+    Fig6b(Fig6Config),
     /// Fig. 7(a): asymptotic failed paths for all five geometries.
-    Fig7a {
-        /// Identifier length of the asymptotic panel.
-        asymptotic_bits: u32,
-        /// Failure-probability grid.
-        grid: Vec<f64>,
-        /// Failure probability of the size sweep (unused by this panel but
-        /// part of the shared Fig. 7 configuration).
-        fixed_failure_probability: f64,
-        /// Identifier lengths of the size sweep (unused by this panel).
-        size_bits: Vec<u32>,
-        /// Symphony near neighbours `k_n`.
-        symphony_near_neighbors: u32,
-        /// Symphony shortcuts `k_s`.
-        symphony_shortcuts: u32,
-    },
+    Fig7a(Fig7Config),
     /// Fig. 7(b): routability vs system size at fixed `q`.
-    Fig7b {
-        /// Identifier length of the asymptotic panel (unused by this panel).
-        asymptotic_bits: u32,
-        /// Failure-probability grid (unused by this panel).
-        grid: Vec<f64>,
-        /// Failure probability of the size sweep.
-        fixed_failure_probability: f64,
-        /// Identifier lengths of the size sweep.
-        size_bits: Vec<u32>,
-        /// Symphony near neighbours `k_n`.
-        symphony_near_neighbors: u32,
-        /// Symphony shortcuts `k_s`.
-        symphony_shortcuts: u32,
-    },
+    Fig7b(Fig7Config),
     /// The §5 scalability classification table.
     ScalabilityTable {
         /// Failure probabilities to probe numerically.
@@ -251,62 +204,14 @@ pub enum ExperimentSpec {
         max_connections: u32,
     },
     /// Tightness of the Chord lower bound (Fig. 6(b) discussion).
-    RingBoundGap {
-        /// Identifier length for the analytical curves.
-        analytical_bits: u32,
-        /// Identifier length for the simulated overlay.
-        simulation_bits: u32,
-        /// Source/destination pairs per grid point.
-        pairs: u64,
-        /// Failure-probability grid.
-        grid: Vec<f64>,
-    },
+    RingBoundGap(Fig6Config),
     /// Static resilience over a sparsely occupied identifier space.
-    SparsePopulation {
-        /// Identifier length `d` of the space.
-        bits: u32,
-        /// Occupied identifiers (`n <= 2^d`).
-        occupied: u64,
-        /// Also measure the fully populated baseline.
-        include_full_baseline: bool,
-        /// Source/destination pairs per grid point.
-        pairs: u64,
-        /// Failure-probability grid.
-        grid: Vec<f64>,
-    },
+    SparsePopulation(SparsePopulationConfig),
     /// Continuous-time churn with frozen vs repaired overlays.
-    LiveChurn {
-        /// Identifier length (full population).
-        bits: u32,
-        /// Mean session times `E[L]` to sweep.
-        session_times: Vec<f64>,
-        /// Poisson lookup rates to sweep.
-        lookup_rates: Vec<f64>,
-        /// Mean offline time `E[D]`.
-        mean_downtime: f64,
-        /// Simulated horizon per replica.
-        duration: f64,
-        /// Measurement-window start.
-        warmup: f64,
-        /// Independent replicas per point.
-        replicas: u32,
-    },
+    LiveChurn(LiveChurnGridConfig),
     /// Structured fault-injection campaigns: geometry × plan ×
     /// failed-fraction grid with graceful-degradation reporting.
-    FailureCampaign {
-        /// Identifier length (full population).
-        bits: u32,
-        /// Geometries to sweep.
-        geometries: Vec<String>,
-        /// Plan templates (fractions re-targeted by the grid).
-        plans: Vec<FailurePlan>,
-        /// Target failed fractions to sweep each plan across.
-        failed_fractions: Vec<f64>,
-        /// Source/destination pairs per failure pattern.
-        pairs: u64,
-        /// Independent failure patterns per grid point.
-        patterns: u32,
-    },
+    FailureCampaign(FailureCampaignConfig),
     /// One geometry's static resilience + scalability report — the report
     /// server's query family ("N, geometry, q → resilience report").
     StaticResilience {
@@ -335,7 +240,7 @@ pub enum ExperimentSpec {
     },
 }
 
-/// The experiment families, used to key binaries and reports.
+/// The experiment families, used to key `scenario exp` and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[allow(missing_docs)]
 pub enum Family {
@@ -404,7 +309,7 @@ impl Family {
         FAMILIES.into_iter().find(|family| family.name() == name)
     }
 
-    /// The output file stem the family's binary historically used.
+    /// The output file stem of the family's default spec and report.
     #[must_use]
     pub fn output_stem(self) -> &'static str {
         match self {
@@ -418,163 +323,138 @@ impl Family {
     }
 
     /// The canonical spec of this family: the paper-scale configuration, or
-    /// the reduced smoke configuration the binaries run with `--smoke`.
+    /// the reduced smoke configuration `scenario exp --smoke` runs.
     #[must_use]
     pub fn default_spec(self, smoke: bool) -> ScenarioSpec {
-        let experiment = match self {
-            Family::Fig3 => ExperimentSpec::Fig3 {
-                failure_probability: 0.3,
-                trials: if smoke { 20_000 } else { 200_000 },
-            },
-            Family::Fig6a | Family::Fig6b | Family::RingBoundGap => {
-                let config = if smoke {
-                    Fig6Config::smoke()
-                } else {
-                    Fig6Config::paper_scale()
-                };
-                let fields = |config: Fig6Config| {
-                    (
-                        config.analytical_bits,
-                        config.simulation_bits,
-                        config.pairs,
-                        config.grid,
-                    )
-                };
-                let (analytical_bits, simulation_bits, pairs, grid) = fields(config.clone());
-                let seeded = ScenarioSpec {
-                    schema: SPEC_SCHEMA.to_owned(),
-                    name: self.output_stem().to_owned(),
-                    seed: config.seed,
-                    experiment: match self {
-                        Family::Fig6a => ExperimentSpec::Fig6a {
-                            analytical_bits,
-                            simulation_bits,
-                            pairs,
-                            grid,
-                        },
-                        Family::Fig6b => ExperimentSpec::Fig6b {
-                            analytical_bits,
-                            simulation_bits,
-                            pairs,
-                            grid,
-                        },
-                        _ => ExperimentSpec::RingBoundGap {
-                            analytical_bits,
-                            simulation_bits,
-                            pairs,
-                            grid,
-                        },
-                    },
-                    execution: Some(ExecutionSpec {
-                        threads: config.threads,
-                        backend: Backend::Materialized,
-                    }),
-                };
-                return seeded;
+        fn scale<T>(smoke: bool, small: T, paper: T) -> T {
+            if smoke {
+                small
+            } else {
+                paper
             }
-            Family::Fig7a | Family::Fig7b => {
-                let config = if smoke {
-                    Fig7Config::smoke()
-                } else {
-                    Fig7Config::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                if self == Family::Fig7b {
-                    if let ExperimentSpec::Fig7a {
-                        asymptotic_bits,
-                        grid,
-                        fixed_failure_probability,
-                        size_bits,
-                        symphony_near_neighbors,
-                        symphony_shortcuts,
-                    } = spec.experiment
-                    {
-                        spec.experiment = ExperimentSpec::Fig7b {
-                            asymptotic_bits,
-                            grid,
-                            fixed_failure_probability,
-                            size_bits,
-                            symphony_near_neighbors,
-                            symphony_shortcuts,
-                        };
-                    }
-                }
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::ScalabilityTable => ExperimentSpec::ScalabilityTable {
-                failure_probabilities: vec![0.05, 0.1, 0.3, 0.5],
-            },
-            Family::MarkovValidation => ExperimentSpec::MarkovValidation {
-                max_distance: if smoke { 8 } else { 16 },
-                grid: vec![0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9],
-            },
-            Family::PercolationContrast => ExperimentSpec::PercolationContrast {
-                bits: if smoke { 9 } else { 12 },
-                failure_probability: 0.3,
-                roots: if smoke { 10 } else { 32 },
-            },
-            Family::SymphonyAblation => ExperimentSpec::SymphonyAblation {
-                bits_list: if smoke {
-                    vec![12, 16]
-                } else {
-                    vec![16, 20, 24]
+        }
+        let fig6 = || scale(smoke, Fig6Config::smoke(), Fig6Config::paper_scale());
+        let fig7 = || scale(smoke, Fig7Config::smoke(), Fig7Config::paper_scale());
+        // (parameters, root seed, thread budget of the execution block)
+        let (experiment, seed, threads) = match self {
+            Family::Fig3 => (
+                ExperimentSpec::Fig3 {
+                    failure_probability: 0.3,
+                    trials: scale(smoke, 20_000, 200_000),
                 },
-                failure_probability: 0.2,
-                max_connections: if smoke { 4 } else { 8 },
-            },
-            Family::SparsePopulation => {
-                let config = if smoke {
-                    SparsePopulationConfig::smoke()
-                } else {
-                    SparsePopulationConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::LiveChurn => {
-                let config = if smoke {
-                    LiveChurnGridConfig::smoke()
-                } else {
-                    LiveChurnGridConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::FailureCampaign => {
-                let config = if smoke {
-                    FailureCampaignConfig::smoke()
-                } else {
-                    FailureCampaignConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
-            Family::StaticResilience => ExperimentSpec::StaticResilience {
-                geometry: "ring".to_owned(),
-                bits: if smoke { 10 } else { 16 },
-                grid: dht_mathkit::percent_grid(
-                    if smoke { 80 } else { 90 },
-                    if smoke { 20 } else { 5 },
-                ),
-                pairs: if smoke { 2_000 } else { 20_000 },
-                trials: 1,
-            },
-            Family::ImplicitScale => {
-                let config = if smoke {
-                    ImplicitScaleConfig::smoke()
-                } else {
-                    ImplicitScaleConfig::paper_scale()
-                };
-                let mut spec: ScenarioSpec = config.into();
-                spec.name = self.output_stem().to_owned();
-                return spec;
-            }
+                2006,
+                None,
+            ),
+            Family::Fig6a => (
+                ExperimentSpec::Fig6a(fig6()),
+                2006,
+                Some(scale(smoke, 1, 4)),
+            ),
+            Family::Fig6b => (
+                ExperimentSpec::Fig6b(fig6()),
+                2006,
+                Some(scale(smoke, 1, 4)),
+            ),
+            Family::RingBoundGap => (
+                ExperimentSpec::RingBoundGap(fig6()),
+                2006,
+                Some(scale(smoke, 1, 4)),
+            ),
+            Family::Fig7a => (ExperimentSpec::Fig7a(fig7()), 0, None),
+            Family::Fig7b => (ExperimentSpec::Fig7b(fig7()), 0, None),
+            Family::ScalabilityTable => (
+                ExperimentSpec::ScalabilityTable {
+                    failure_probabilities: vec![0.05, 0.1, 0.3, 0.5],
+                },
+                2006,
+                None,
+            ),
+            Family::MarkovValidation => (
+                ExperimentSpec::MarkovValidation {
+                    max_distance: scale(smoke, 8, 16),
+                    grid: vec![0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9],
+                },
+                2006,
+                None,
+            ),
+            Family::PercolationContrast => (
+                ExperimentSpec::PercolationContrast {
+                    bits: scale(smoke, 9, 12),
+                    failure_probability: 0.3,
+                    roots: scale(smoke, 10, 32),
+                },
+                2006,
+                None,
+            ),
+            Family::SymphonyAblation => (
+                ExperimentSpec::SymphonyAblation {
+                    bits_list: scale(smoke, vec![12, 16], vec![16, 20, 24]),
+                    failure_probability: 0.2,
+                    max_connections: scale(smoke, 4, 8),
+                },
+                2006,
+                None,
+            ),
+            Family::SparsePopulation => (
+                ExperimentSpec::SparsePopulation(scale(
+                    smoke,
+                    SparsePopulationConfig::smoke(),
+                    SparsePopulationConfig::paper_scale(),
+                )),
+                2006,
+                Some(scale(smoke, 1, 4)),
+            ),
+            Family::LiveChurn => (
+                ExperimentSpec::LiveChurn(scale(
+                    smoke,
+                    LiveChurnGridConfig::smoke(),
+                    LiveChurnGridConfig::paper_scale(),
+                )),
+                29,
+                Some(scale(smoke, 2, 8)),
+            ),
+            Family::FailureCampaign => (
+                ExperimentSpec::FailureCampaign(scale(
+                    smoke,
+                    FailureCampaignConfig::smoke(),
+                    FailureCampaignConfig::paper_scale(),
+                )),
+                2006,
+                Some(scale(smoke, 2, 8)),
+            ),
+            Family::StaticResilience => (
+                ExperimentSpec::StaticResilience {
+                    geometry: "ring".to_owned(),
+                    bits: scale(smoke, 10, 16),
+                    grid: dht_mathkit::percent_grid(scale(smoke, 80, 90), scale(smoke, 20, 5)),
+                    pairs: scale(smoke, 2_000, 20_000),
+                    trials: 1,
+                },
+                2006,
+                None,
+            ),
+            // The family always runs on the implicit backend, and its
+            // execution block records that.
+            Family::ImplicitScale => (
+                ExperimentSpec::ImplicitScale {
+                    geometry: "ring".to_owned(),
+                    bits_list: scale(smoke, vec![14, 16], vec![26, 28, 30]),
+                    failure_probability: 0.1,
+                    pairs: scale(smoke, 2_000, 100_000),
+                },
+                2006,
+                Some(scale(smoke, 4, 8)),
+            ),
         };
-        ScenarioSpec::new(self.output_stem(), 2006, experiment)
+        let backend = if self == Family::ImplicitScale {
+            Backend::Implicit
+        } else {
+            Backend::Materialized
+        };
+        ScenarioSpec {
+            execution: threads.map(|threads| ExecutionSpec { threads, backend }),
+            ..ScenarioSpec::new(self.output_stem(), seed, experiment)
+        }
     }
 }
 
@@ -590,18 +470,18 @@ impl ExperimentSpec {
     pub fn family(&self) -> Family {
         match self {
             ExperimentSpec::Fig3 { .. } => Family::Fig3,
-            ExperimentSpec::Fig6a { .. } => Family::Fig6a,
-            ExperimentSpec::Fig6b { .. } => Family::Fig6b,
-            ExperimentSpec::Fig7a { .. } => Family::Fig7a,
-            ExperimentSpec::Fig7b { .. } => Family::Fig7b,
+            ExperimentSpec::Fig6a(_) => Family::Fig6a,
+            ExperimentSpec::Fig6b(_) => Family::Fig6b,
+            ExperimentSpec::Fig7a(_) => Family::Fig7a,
+            ExperimentSpec::Fig7b(_) => Family::Fig7b,
             ExperimentSpec::ScalabilityTable { .. } => Family::ScalabilityTable,
             ExperimentSpec::MarkovValidation { .. } => Family::MarkovValidation,
             ExperimentSpec::PercolationContrast { .. } => Family::PercolationContrast,
             ExperimentSpec::SymphonyAblation { .. } => Family::SymphonyAblation,
-            ExperimentSpec::RingBoundGap { .. } => Family::RingBoundGap,
-            ExperimentSpec::SparsePopulation { .. } => Family::SparsePopulation,
-            ExperimentSpec::LiveChurn { .. } => Family::LiveChurn,
-            ExperimentSpec::FailureCampaign { .. } => Family::FailureCampaign,
+            ExperimentSpec::RingBoundGap(_) => Family::RingBoundGap,
+            ExperimentSpec::SparsePopulation(_) => Family::SparsePopulation,
+            ExperimentSpec::LiveChurn(_) => Family::LiveChurn,
+            ExperimentSpec::FailureCampaign(_) => Family::FailureCampaign,
             ExperimentSpec::StaticResilience { .. } => Family::StaticResilience,
             ExperimentSpec::ImplicitScale { .. } => Family::ImplicitScale,
         }
@@ -674,8 +554,11 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] on an unknown schema tag or an empty
-    /// name.
+    /// Returns [`SpecError::Invalid`] on an unknown schema tag, an empty
+    /// name, a zero `pairs` or `trials` budget, or a failure campaign that
+    /// [`FailureCampaignConfig::validate`] rejects. A zero budget is an
+    /// error rather than a silent 1: the content hash keeps the 0, so a
+    /// clamp would file one result under two cache keys.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.schema != SPEC_SCHEMA {
             return Err(SpecError::Invalid(format!(
@@ -685,6 +568,34 @@ impl ScenarioSpec {
         }
         if self.name.is_empty() {
             return Err(SpecError::Invalid("spec name must not be empty".to_owned()));
+        }
+        let (pairs, trials) = match &self.experiment {
+            ExperimentSpec::Fig3 { trials, .. } => (None, Some(*trials)),
+            ExperimentSpec::Fig6a(config)
+            | ExperimentSpec::Fig6b(config)
+            | ExperimentSpec::RingBoundGap(config) => (Some(config.pairs), None),
+            ExperimentSpec::SparsePopulation(config) => (Some(config.pairs), None),
+            // Its own check also covers the grid axes and the pattern count.
+            ExperimentSpec::FailureCampaign(config) => return config.validate(),
+            ExperimentSpec::StaticResilience { pairs, trials, .. } => {
+                (Some(*pairs), Some(u64::from(*trials)))
+            }
+            ExperimentSpec::ImplicitScale { pairs, .. } => (Some(*pairs), None),
+            ExperimentSpec::Fig7a(_)
+            | ExperimentSpec::Fig7b(_)
+            | ExperimentSpec::ScalabilityTable { .. }
+            | ExperimentSpec::MarkovValidation { .. }
+            | ExperimentSpec::PercolationContrast { .. }
+            | ExperimentSpec::SymphonyAblation { .. }
+            | ExperimentSpec::LiveChurn(_) => (None, None),
+        };
+        for (budget, value) in [("pairs", pairs), ("trials", trials)] {
+            if value == Some(0) {
+                return Err(SpecError::Invalid(format!(
+                    "{budget} must be at least 1 in a {} spec",
+                    self.family()
+                )));
+            }
         }
         Ok(())
     }
@@ -766,360 +677,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-// ---------------------------------------------------------------------------
-// Conversions between the legacy per-experiment configs and ScenarioSpec.
-// ---------------------------------------------------------------------------
-
-impl From<Fig6Config> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields. The
-    /// canonical family for a bare `Fig6Config` is Fig. 6(a).
-    fn from(config: Fig6Config) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::Fig6a.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::Fig6a {
-                analytical_bits: config.analytical_bits,
-                simulation_bits: config.simulation_bits,
-                pairs: config.pairs,
-                grid: config.grid,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for Fig6Config {
-    type Error = SpecError;
-
-    /// Accepts any Fig. 6-shaped family (Fig6a, Fig6b, RingBoundGap).
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::Fig6a {
-                analytical_bits,
-                simulation_bits,
-                pairs,
-                grid,
-            }
-            | ExperimentSpec::Fig6b {
-                analytical_bits,
-                simulation_bits,
-                pairs,
-                grid,
-            }
-            | ExperimentSpec::RingBoundGap {
-                analytical_bits,
-                simulation_bits,
-                pairs,
-                grid,
-            } => Ok(Fig6Config {
-                analytical_bits: *analytical_bits,
-                simulation_bits: *simulation_bits,
-                pairs: *pairs,
-                seed: spec.seed,
-                grid: grid.clone(),
-                threads: spec.threads(),
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a fig6-family spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<Fig7Config> for ScenarioSpec {
-    /// Lossless: `Fig7Config` carries no seed or thread budget, so the spec
-    /// gets seed 0 and no execution block. The canonical family is Fig. 7(a).
-    fn from(config: Fig7Config) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::Fig7a.output_stem().to_owned(),
-            seed: 0,
-            experiment: ExperimentSpec::Fig7a {
-                asymptotic_bits: config.asymptotic_bits,
-                grid: config.grid,
-                fixed_failure_probability: config.fixed_failure_probability,
-                size_bits: config.size_bits,
-                symphony_near_neighbors: config.symphony_near_neighbors,
-                symphony_shortcuts: config.symphony_shortcuts,
-            },
-            execution: None,
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for Fig7Config {
-    type Error = SpecError;
-
-    /// Accepts either Fig. 7 panel (both carry the full configuration).
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::Fig7a {
-                asymptotic_bits,
-                grid,
-                fixed_failure_probability,
-                size_bits,
-                symphony_near_neighbors,
-                symphony_shortcuts,
-            }
-            | ExperimentSpec::Fig7b {
-                asymptotic_bits,
-                grid,
-                fixed_failure_probability,
-                size_bits,
-                symphony_near_neighbors,
-                symphony_shortcuts,
-            } => Ok(Fig7Config {
-                asymptotic_bits: *asymptotic_bits,
-                grid: grid.clone(),
-                fixed_failure_probability: *fixed_failure_probability,
-                size_bits: size_bits.clone(),
-                symphony_near_neighbors: *symphony_near_neighbors,
-                symphony_shortcuts: *symphony_shortcuts,
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a fig7-family spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<SparsePopulationConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields.
-    fn from(config: SparsePopulationConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::SparsePopulation.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::SparsePopulation {
-                bits: config.bits,
-                occupied: config.occupied,
-                include_full_baseline: config.include_full_baseline,
-                pairs: config.pairs,
-                grid: config.grid,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for SparsePopulationConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::SparsePopulation {
-                bits,
-                occupied,
-                include_full_baseline,
-                pairs,
-                grid,
-            } => Ok(SparsePopulationConfig {
-                bits: *bits,
-                occupied: *occupied,
-                include_full_baseline: *include_full_baseline,
-                pairs: *pairs,
-                seed: spec.seed,
-                grid: grid.clone(),
-                threads: spec.threads(),
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a sparse_population spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<LiveChurnGridConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields.
-    fn from(config: LiveChurnGridConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::LiveChurn.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::LiveChurn {
-                bits: config.bits,
-                session_times: config.session_times,
-                lookup_rates: config.lookup_rates,
-                mean_downtime: config.mean_downtime,
-                duration: config.duration,
-                warmup: config.warmup,
-                replicas: config.replicas,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for LiveChurnGridConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::LiveChurn {
-                bits,
-                session_times,
-                lookup_rates,
-                mean_downtime,
-                duration,
-                warmup,
-                replicas,
-            } => Ok(LiveChurnGridConfig {
-                bits: *bits,
-                session_times: session_times.clone(),
-                lookup_rates: lookup_rates.clone(),
-                mean_downtime: *mean_downtime,
-                duration: *duration,
-                warmup: *warmup,
-                replicas: *replicas,
-                threads: spec.threads(),
-                seed: spec.seed,
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a live_churn spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<FailureCampaignConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields.
-    fn from(config: FailureCampaignConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::FailureCampaign.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::FailureCampaign {
-                bits: config.bits,
-                geometries: config.geometries,
-                plans: config.plans,
-                failed_fractions: config.failed_fractions,
-                pairs: config.pairs,
-                patterns: config.patterns,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Materialized,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for FailureCampaignConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::FailureCampaign {
-                bits,
-                geometries,
-                plans,
-                failed_fractions,
-                pairs,
-                patterns,
-            } => Ok(FailureCampaignConfig {
-                bits: *bits,
-                geometries: geometries.clone(),
-                plans: plans.clone(),
-                failed_fractions: failed_fractions.clone(),
-                pairs: *pairs,
-                patterns: *patterns,
-                threads: spec.threads(),
-                seed: spec.seed,
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected a failure_campaigns spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl From<ImplicitScaleConfig> for ScenarioSpec {
-    /// Lossless: seed and threads move to the spec's root fields; the
-    /// execution block records the implicit backend the family always uses.
-    fn from(config: ImplicitScaleConfig) -> Self {
-        ScenarioSpec {
-            schema: SPEC_SCHEMA.to_owned(),
-            name: Family::ImplicitScale.output_stem().to_owned(),
-            seed: config.seed,
-            experiment: ExperimentSpec::ImplicitScale {
-                geometry: config.geometry,
-                bits_list: config.bits_list,
-                failure_probability: config.failure_probability,
-                pairs: config.pairs,
-            },
-            execution: Some(ExecutionSpec {
-                threads: config.threads,
-                backend: Backend::Implicit,
-            }),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for ImplicitScaleConfig {
-    type Error = SpecError;
-
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::ImplicitScale {
-                geometry,
-                bits_list,
-                failure_probability,
-                pairs,
-            } => Ok(ImplicitScaleConfig {
-                geometry: geometry.clone(),
-                bits_list: bits_list.clone(),
-                failure_probability: *failure_probability,
-                pairs: *pairs,
-                seed: spec.seed,
-                threads: spec.threads(),
-            }),
-            other => Err(SpecError::Invalid(format!(
-                "expected an implicit_scale spec, found {}",
-                other.family()
-            ))),
-        }
-    }
-}
-
-impl TryFrom<&ScenarioSpec> for StaticResilienceConfig {
-    type Error = SpecError;
-
-    /// The sweep *base* configuration of a static-resilience spec: `q = 0`
-    /// (the grid is swept separately), with the measurement-root seed
-    /// (`SeedSequence` child 1 of the spec seed — child 0 seeds overlay
-    /// construction, matching [`run_spec`]).
-    fn try_from(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        match &spec.experiment {
-            ExperimentSpec::StaticResilience { pairs, trials, .. } => {
-                Ok(StaticResilienceConfig::new(0.0)?
-                    .with_pairs(*pairs)
-                    .with_trials(*trials)
-                    .with_seed(SeedSequence::new(spec.seed).child(1))
-                    .with_threads(spec.threads()))
-            }
-            other => Err(SpecError::Invalid(format!(
-                "expected a static_resilience spec, found {}",
-                other.family()
-            ))),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1233,16 +790,16 @@ pub struct ScenarioReport {
 }
 
 /// Everything one spec run yields: the report envelope plus the
-/// presentation the binaries print.
+/// presentation `scenario exp` prints.
 #[derive(Debug, Clone)]
 pub struct SpecOutcome {
     /// The serializable report.
     pub report: ScenarioReport,
-    /// One-line summary (what the binaries print first).
+    /// One-line summary (what `scenario exp` prints first).
     pub headline: String,
     /// Fixed-width result table.
     pub table: String,
-    /// Records for families whose binaries also emit CSV.
+    /// Records for families whose reports also go to CSV.
     pub csv_records: Option<Vec<SimulationRecord>>,
 }
 
@@ -1271,9 +828,8 @@ pub fn run_spec(
             let table = render_fig3_table(&result);
             (result.to_value(), headline, table, None)
         }
-        ExperimentSpec::Fig6a { .. } => {
-            let config = Fig6Config::try_from(spec)?.with_threads_override(threads);
-            let records = fig6a(&config)?;
+        ExperimentSpec::Fig6a(config) => {
+            let records = fig6a(config, spec.seed, threads)?;
             let headline = format!(
                 "Fig. 6(a): percent of failed paths, N = 2^{} (simulation at 2^{})",
                 config.analytical_bits, config.simulation_bits
@@ -1281,9 +837,8 @@ pub fn run_spec(
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        ExperimentSpec::Fig6b { .. } => {
-            let config = Fig6Config::try_from(spec)?.with_threads_override(threads);
-            let records = fig6b(&config)?;
+        ExperimentSpec::Fig6b(config) => {
+            let records = fig6b(config, spec.seed, threads)?;
             let headline = format!(
                 "Fig. 6(b): percent of failed paths for ring routing, N = 2^{}",
                 config.analytical_bits
@@ -1291,9 +846,8 @@ pub fn run_spec(
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        ExperimentSpec::Fig7a { .. } => {
-            let config = Fig7Config::try_from(spec)?;
-            let records = fig7a(&config)?;
+        ExperimentSpec::Fig7a(config) => {
+            let records = fig7a(config)?;
             let headline = format!(
                 "Fig. 7(a): percent of failed paths in the asymptotic limit (N = 2^{})",
                 config.asymptotic_bits
@@ -1301,9 +855,8 @@ pub fn run_spec(
             let table = render_records_table(&records);
             (records.to_value(), headline, table, Some(records))
         }
-        ExperimentSpec::Fig7b { .. } => {
-            let config = Fig7Config::try_from(spec)?;
-            let points = fig7b(&config)?;
+        ExperimentSpec::Fig7b(config) => {
+            let points = fig7b(config)?;
             let headline = format!(
                 "Fig. 7(b): routability (%) vs system size at q = {}",
                 config.fixed_failure_probability
@@ -1349,18 +902,15 @@ pub fn run_spec(
             let table = render_ablation_table(&cells, bits_list, *max_connections);
             (cells.to_value(), headline, table, None)
         }
-        ExperimentSpec::RingBoundGap { .. } => {
-            let config = Fig6Config::try_from(spec)?.with_threads_override(threads);
-            let points = ring_bound_gap::run(&config)?;
+        ExperimentSpec::RingBoundGap(config) => {
+            let points = ring_bound_gap::run(config, spec.seed, threads)?;
             let headline =
                 "Chord bound slack (analytical failed % minus simulated failed %)".to_owned();
             let table = render_bound_gap_table(&points);
             (points.to_value(), headline, table, None)
         }
-        ExperimentSpec::SparsePopulation { .. } => {
-            let mut config = SparsePopulationConfig::try_from(spec)?;
-            config.threads = threads;
-            let records = sparse_population_resilience(&config)?;
+        ExperimentSpec::SparsePopulation(config) => {
+            let records = sparse_population_resilience(config, spec.seed, threads)?;
             let headline = format!(
                 "Sparse-population static resilience: 2^{} identifier space, {} occupied nodes ({:.0}% occupancy)",
                 config.bits,
@@ -1370,10 +920,8 @@ pub fn run_spec(
             let table = render_sparse_table(&records);
             (records.to_value(), headline, table, None)
         }
-        ExperimentSpec::LiveChurn { .. } => {
-            let mut grid = LiveChurnGridConfig::try_from(spec)?;
-            grid.threads = threads;
-            let points = crate::live_churn::run_grid(&grid)?;
+        ExperimentSpec::LiveChurn(grid) => {
+            let points = crate::live_churn::run_grid(grid, spec.seed, threads)?;
             let headline = format!(
                 "Live churn: N = 2^{}, downtime E[D] = {}, horizon {} (warmup {}), {} replicas",
                 grid.bits, grid.mean_downtime, grid.duration, grid.warmup, grid.replicas
@@ -1381,10 +929,8 @@ pub fn run_spec(
             let table = render_live_churn_table(&points);
             (points.to_value(), headline, table, None)
         }
-        ExperimentSpec::FailureCampaign { .. } => {
-            let mut config = FailureCampaignConfig::try_from(spec)?;
-            config.threads = threads;
-            let points = crate::failure_campaigns::run_grid(&config)?;
+        ExperimentSpec::FailureCampaign(config) => {
+            let points = crate::failure_campaigns::run_grid(config, spec.seed, threads)?;
             let headline = format!(
                 "Failure campaigns: N = 2^{}, {} geometries x {} plans x {} fractions",
                 config.bits,
@@ -1395,19 +941,27 @@ pub fn run_spec(
             let table = render_failure_campaign_table(&points);
             (points.to_value(), headline, table, None)
         }
-        ExperimentSpec::ImplicitScale { .. } => {
-            let mut config = ImplicitScaleConfig::try_from(spec)?;
-            config.threads = threads;
-            let points = crate::implicit_scale::run(&config)?;
-            let sizes = config
-                .bits_list
+        ExperimentSpec::ImplicitScale {
+            geometry,
+            bits_list,
+            failure_probability,
+            pairs,
+        } => {
+            let points = crate::implicit_scale::run(
+                geometry,
+                bits_list,
+                *failure_probability,
+                *pairs,
+                spec.seed,
+                threads,
+            )?;
+            let sizes = bits_list
                 .iter()
                 .map(|bits| format!("2^{bits}"))
                 .collect::<Vec<_>>()
                 .join(", ");
             let headline = format!(
-                "Implicit-table static resilience: {} at q = {}, sizes {sizes}",
-                config.geometry, config.failure_probability
+                "Implicit-table static resilience: {geometry} at q = {failure_probability}, sizes {sizes}"
             );
             let table = render_implicit_scale_table(&points);
             (points.to_value(), headline, table, None)
@@ -1458,15 +1012,6 @@ pub fn run_spec(
         table,
         csv_records,
     })
-}
-
-impl Fig6Config {
-    /// Replaces the thread budget (spec execution override).
-    #[must_use]
-    fn with_threads_override(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1616,7 +1161,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Table renderers (moved out of the per-family binaries)
+// Table renderers
 // ---------------------------------------------------------------------------
 
 fn render_fig3_table(result: &fig3::Fig3Result) -> String {
@@ -1796,158 +1341,6 @@ fn render_resilience_table(report: &StaticResilienceReport) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// The shared binary front end
-// ---------------------------------------------------------------------------
-
-/// Runs one experiment binary: parses the uniform CLI, executes the spec
-/// and writes the report. Every `src/bin/` target is a one-line call here.
-///
-/// # Errors
-///
-/// Returns any parse, I/O or harness error (binaries bubble it to `main`).
-pub fn cli_main(family: Family) -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    run_cli(family, &args)
-}
-
-/// [`cli_main`] with explicit arguments (testable).
-///
-/// # Errors
-///
-/// See [`cli_main`].
-pub fn run_cli(family: Family, args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut spec_path: Option<PathBuf> = None;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut compact = false;
-    let mut threads: Option<usize> = None;
-    let mut positionals: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--spec" => {
-                spec_path = Some(PathBuf::from(
-                    iter.next().ok_or("--spec needs a file path")?,
-                ));
-            }
-            "--out" => {
-                out_dir = Some(PathBuf::from(iter.next().ok_or("--out needs a directory")?));
-            }
-            "--threads" => {
-                threads = Some(iter.next().ok_or("--threads needs a count")?.parse()?);
-            }
-            "--smoke" => smoke = true,
-            "--compact" => compact = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: {} [--spec FILE] [--smoke] [--out DIR] [--compact] [--threads N]",
-                    family.name()
-                );
-                return Ok(());
-            }
-            other => positionals.push(other.to_owned()),
-        }
-    }
-
-    let mut spec = if let Some(path) = &spec_path {
-        let text = std::fs::read_to_string(path)?;
-        let spec = ScenarioSpec::from_json(&text)?;
-        if spec.family() != family {
-            return Err(format!(
-                "spec {} is a {} scenario, but this binary runs {}",
-                path.display(),
-                spec.family(),
-                family
-            )
-            .into());
-        }
-        spec
-    } else {
-        family.default_spec(smoke)
-    };
-
-    if !positionals.is_empty() {
-        eprintln!(
-            "warning: positional arguments are deprecated and will be removed; \
-             pass --spec <file> instead (see the README's spec schema reference)"
-        );
-        apply_legacy_positionals(&mut spec, family, &positionals)?;
-    }
-
-    let outcome = run_spec(&spec, threads)?;
-    println!("{}", outcome.headline);
-    print!("{}", outcome.table);
-
-    let writer =
-        ReportWriter::new(out_dir.unwrap_or_else(default_output_dir)).with_mode(if compact {
-            ReportMode::Compact
-        } else {
-            ReportMode::Pretty
-        });
-    let path = writer.write_report(&outcome.report)?;
-    println!("wrote {}", path.display());
-    if let Some(records) = &outcome.csv_records {
-        let csv_path = writer.write_csv(records, &outcome.report.name)?;
-        println!("wrote {}", csv_path.display());
-    }
-    Ok(())
-}
-
-/// Maps each binary's historical positional arguments onto the spec.
-fn apply_legacy_positionals(
-    spec: &mut ScenarioSpec,
-    family: Family,
-    positionals: &[String],
-) -> Result<(), Box<dyn std::error::Error>> {
-    match (family, &mut spec.experiment) {
-        (
-            Family::Fig3,
-            ExperimentSpec::Fig3 {
-                failure_probability,
-                ..
-            },
-        ) => {
-            if let Some(q) = positionals.first() {
-                *failure_probability = q.parse()?;
-            }
-        }
-        (
-            Family::PercolationContrast,
-            ExperimentSpec::PercolationContrast {
-                bits,
-                failure_probability,
-                ..
-            },
-        ) => {
-            if let Some(value) = positionals.first() {
-                *bits = value.parse()?;
-            }
-            if let Some(value) = positionals.get(1) {
-                *failure_probability = value.parse()?;
-            }
-        }
-        (
-            Family::SymphonyAblation,
-            ExperimentSpec::SymphonyAblation {
-                failure_probability,
-                ..
-            },
-        ) => {
-            if let Some(q) = positionals.first() {
-                *failure_probability = q.parse()?;
-            }
-        }
-        _ => {
-            return Err(format!(
-                "the {family} binary takes no positional arguments; use --spec <file>"
-            )
-            .into())
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1990,8 +1383,8 @@ mod tests {
         assert_ne!(spec.content_hash(), reseeded.content_hash());
 
         let mut regridded = spec.clone();
-        if let ExperimentSpec::Fig6a { grid, .. } = &mut regridded.experiment {
-            grid.push(0.85);
+        if let ExperimentSpec::Fig6a(config) = &mut regridded.experiment {
+            config.grid.push(0.85);
         }
         assert_ne!(spec.content_hash(), regridded.content_hash());
         assert_eq!(spec.content_hash_hex().len(), 16);
@@ -2028,26 +1421,44 @@ mod tests {
         ));
     }
 
+    /// Round-trips `experiment` through spec JSON and checks that the
+    /// variant's payload is exactly `config`'s own serialization: the
+    /// variant adds no mirror fields, so spec files and content hashes are
+    /// those of the config struct.
+    fn assert_config_is_the_payload<C: Serialize>(experiment: ExperimentSpec, config: &C) {
+        let spec = ScenarioSpec::new("payload", 2006, experiment);
+        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+        let tag = spec.family().to_string();
+        let Value::Object(entries) = spec.experiment.to_value() else {
+            panic!("{tag}: an experiment serializes to an object");
+        };
+        assert_eq!(entries.len(), 1, "{tag}");
+        assert_eq!(entries[0].1, config.to_value(), "{tag}");
+    }
+
     #[test]
     fn fig6_config_round_trips_losslessly() {
         for config in [Fig6Config::smoke(), Fig6Config::paper_scale()] {
-            let spec: ScenarioSpec = config.clone().into();
-            let back = Fig6Config::try_from(&spec).unwrap();
-            assert_eq!(back, config);
+            assert_config_is_the_payload(ExperimentSpec::Fig6a(config.clone()), &config);
+            assert_config_is_the_payload(ExperimentSpec::Fig6b(config.clone()), &config);
+            assert_config_is_the_payload(ExperimentSpec::RingBoundGap(config.clone()), &config);
         }
-        // Fig6b/RingBoundGap specs convert to the same config shape.
-        let spec = Family::RingBoundGap.default_spec(true);
-        assert_eq!(Fig6Config::try_from(&spec).unwrap(), Fig6Config::smoke());
+        assert_eq!(
+            Family::RingBoundGap.default_spec(false).experiment,
+            ExperimentSpec::RingBoundGap(Fig6Config::paper_scale())
+        );
     }
 
     #[test]
     fn fig7_config_round_trips_losslessly() {
         for config in [Fig7Config::smoke(), Fig7Config::paper_scale()] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(Fig7Config::try_from(&spec).unwrap(), config);
+            assert_config_is_the_payload(ExperimentSpec::Fig7a(config.clone()), &config);
+            assert_config_is_the_payload(ExperimentSpec::Fig7b(config.clone()), &config);
         }
-        let spec = Family::Fig7b.default_spec(true);
-        assert_eq!(Fig7Config::try_from(&spec).unwrap(), Fig7Config::smoke());
+        assert_eq!(
+            Family::Fig7b.default_spec(true).experiment,
+            ExperimentSpec::Fig7b(Fig7Config::smoke())
+        );
     }
 
     #[test]
@@ -2056,43 +1467,88 @@ mod tests {
             SparsePopulationConfig::smoke(),
             SparsePopulationConfig::paper_scale(),
         ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(SparsePopulationConfig::try_from(&spec).unwrap(), config);
+            assert_config_is_the_payload(ExperimentSpec::SparsePopulation(config.clone()), &config);
         }
         for config in [
             LiveChurnGridConfig::smoke(),
             LiveChurnGridConfig::paper_scale(),
         ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(LiveChurnGridConfig::try_from(&spec).unwrap(), config);
+            assert_config_is_the_payload(ExperimentSpec::LiveChurn(config.clone()), &config);
         }
         for config in [
             FailureCampaignConfig::smoke(),
             FailureCampaignConfig::paper_scale(),
         ] {
-            let spec: ScenarioSpec = config.clone().into();
-            assert_eq!(FailureCampaignConfig::try_from(&spec).unwrap(), config);
+            assert_config_is_the_payload(ExperimentSpec::FailureCampaign(config.clone()), &config);
         }
     }
 
     #[test]
-    fn mismatched_conversions_are_rejected() {
-        let spec = Family::Fig3.default_spec(true);
-        assert!(Fig6Config::try_from(&spec).is_err());
-        assert!(Fig7Config::try_from(&spec).is_err());
-        assert!(SparsePopulationConfig::try_from(&spec).is_err());
-        assert!(LiveChurnGridConfig::try_from(&spec).is_err());
-        assert!(FailureCampaignConfig::try_from(&spec).is_err());
-        assert!(StaticResilienceConfig::try_from(&spec).is_err());
+    fn zero_pairs_and_trials_are_rejected() {
+        let zeroed = |spec: &ScenarioSpec, field: &str| {
+            let json = spec.to_json();
+            let needle = format!("\"{field}\":");
+            let start = json.find(&needle).unwrap_or_else(|| panic!("{json}")) + needle.len();
+            let end = start + json[start..].find([',', '}']).unwrap();
+            let text = format!("{}0{}", &json[..start], &json[end..]);
+            ScenarioSpec::from_json(&text)
+        };
+        let mut rejected = 0;
+        for family in FAMILIES {
+            let spec = family.default_spec(true);
+            for field in ["pairs", "trials"] {
+                if !spec.to_json().contains(&format!("\"{field}\":")) {
+                    continue;
+                }
+                let result = zeroed(&spec, field);
+                assert!(
+                    matches!(result, Err(SpecError::Invalid(_))),
+                    "{family} with {field}: 0 must be invalid, got {result:?}"
+                );
+                rejected += 1;
+            }
+        }
+        // Fig3 (trials), the three Fig. 6 variants, SparsePopulation,
+        // FailureCampaign, ImplicitScale (pairs) and StaticResilience (both).
+        assert_eq!(rejected, 9);
     }
 
     #[test]
     fn static_resilience_base_config_uses_the_measurement_child_seed() {
-        let spec = ScenarioSpec::static_resilience("ring", 8, 0.2, 500, 1, 77);
-        let base = StaticResilienceConfig::try_from(&spec).unwrap();
-        assert_eq!(base.seed(), SeedSequence::new(77).child(1));
-        assert_eq!(base.pairs(), 500);
-        assert_eq!(base.failure_probability(), 0.0);
+        // Overlay construction draws from SeedSequence child 0 of the spec
+        // seed and the measurement from child 1: the report's simulated
+        // point equals a sweep seeded with child 1 on the same overlay.
+        let overlay = build_full_overlay("ring", 8, 77).unwrap();
+        let report = static_resilience_report_with(
+            "ring",
+            8,
+            &[0.2],
+            500,
+            1,
+            77,
+            2,
+            overlay.as_ref(),
+            direct_chain_solve,
+        )
+        .unwrap();
+        let sweep = |seed: u64| {
+            let base = StaticResilienceConfig::new(0.0)
+                .unwrap()
+                .with_pairs(500)
+                .with_seed(seed);
+            sweep_failure_grid(overlay.as_ref(), &base, &[0.2]).unwrap()[0]
+                .result
+                .clone()
+        };
+        assert_eq!(
+            report.points[0].simulated,
+            sweep(SeedSequence::new(77).child(1))
+        );
+        assert_ne!(report.points[0].simulated, sweep(77));
+        assert_ne!(
+            report.points[0].simulated,
+            sweep(SeedSequence::new(77).child(0))
+        );
     }
 
     #[test]
@@ -2157,21 +1613,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_positionals_apply_only_to_their_families() {
-        let mut spec = Family::Fig3.default_spec(true);
-        apply_legacy_positionals(&mut spec, Family::Fig3, &["0.45".to_owned()]).unwrap();
-        assert!(matches!(
-            spec.experiment,
-            ExperimentSpec::Fig3 {
-                failure_probability,
-                ..
-            } if (failure_probability - 0.45).abs() < 1e-12
-        ));
-        let mut fig6 = Family::Fig6a.default_spec(true);
-        assert!(apply_legacy_positionals(&mut fig6, Family::Fig6a, &["1".to_owned()]).is_err());
-    }
-
-    #[test]
     fn backend_serializes_lowercase_and_defaults_to_materialized() {
         let mut spec = Family::StaticResilience.default_spec(true);
         spec.execution = Some(ExecutionSpec {
@@ -2205,15 +1646,13 @@ mod tests {
 
     #[test]
     fn implicit_scale_config_round_trips_losslessly() {
-        for config in [
-            ImplicitScaleConfig::smoke(),
-            ImplicitScaleConfig::paper_scale(),
-        ] {
-            let spec: ScenarioSpec = config.clone().into();
+        // The family's default specs record the implicit backend it always
+        // runs on, and survive the spec JSON unchanged.
+        for smoke in [true, false] {
+            let spec = Family::ImplicitScale.default_spec(smoke);
             assert_eq!(spec.backend(), Backend::Implicit);
-            assert_eq!(ImplicitScaleConfig::try_from(&spec).unwrap(), config);
+            assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
         }
-        assert!(ImplicitScaleConfig::try_from(&Family::Fig3.default_spec(true)).is_err());
     }
 
     #[test]
@@ -2243,10 +1682,13 @@ mod tests {
 
     #[test]
     fn run_spec_implicit_scale_reports_memory_accounting() {
-        let mut config = ImplicitScaleConfig::smoke();
-        config.bits_list = vec![10];
-        config.pairs = 400;
-        let spec: ScenarioSpec = config.into();
+        let mut spec = Family::ImplicitScale.default_spec(true);
+        spec.experiment = ExperimentSpec::ImplicitScale {
+            geometry: "ring".to_owned(),
+            bits_list: vec![10],
+            failure_probability: 0.1,
+            pairs: 400,
+        };
         let outcome = run_spec(&spec, None).unwrap();
         assert_eq!(outcome.report.family, "implicit_scale");
         assert!(outcome.headline.contains("2^10"));

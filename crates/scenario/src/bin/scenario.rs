@@ -6,13 +6,18 @@
 //! scenario serve [--tcp ADDR] [--threads N]
 //! scenario hash <spec-file>...
 //! scenario init <dir> [--paper]
+//! scenario exp <family> [--spec FILE] [--smoke] [--out DIR] [--compact] [--threads N]
 //! ```
 //!
 //! `--backend materialized|implicit` overrides every spec's routing-table
-//! backend; reports are byte-identical either way.
+//! backend; reports are byte-identical either way. `exp` runs one
+//! experiment family — its paper-scale default spec, the smoke-scale one
+//! with `--smoke`, or a spec file of that family — prints its table and
+//! writes its report (pretty JSON unless `--compact`) to `--out`, by
+//! default `results/`.
 
-use dht_experiments::output::ReportMode;
-use dht_experiments::spec::{Backend, ScenarioSpec, FAMILIES};
+use dht_experiments::output::{default_output_dir, ReportMode, ReportWriter};
+use dht_experiments::spec::{run_spec, Backend, Family, ScenarioSpec, FAMILIES};
 use dht_scenario::{run_directory, BatchOptions, ReportServer};
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -24,17 +29,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("serve") => serve(&args[1..]),
         Some("hash") => hash(&args[1..]),
         Some("init") => init(&args[1..]),
+        Some("exp") => exp(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: scenario run <spec-dir> [--out DIR] [--threads N] [--backend B] [--pretty]\n\
-                 \u{20}      scenario serve [--tcp ADDR] [--threads N]\n\
-                 \u{20}      scenario hash <spec-file>...\n\
-                 \u{20}      scenario init <dir> [--paper]"
-            );
+            eprintln!("{USAGE}");
             Err("missing or unknown subcommand".into())
         }
     }
 }
+
+const USAGE: &str = "\
+usage: scenario run <spec-dir> [--out DIR] [--threads N] [--backend B] [--pretty]
+       scenario serve [--tcp ADDR] [--threads N]
+       scenario hash <spec-file>...
+       scenario init <dir> [--paper]
+       scenario exp <family> [--spec FILE] [--smoke] [--out DIR] [--compact] [--threads N]";
 
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut spec_dir: Option<PathBuf> = None;
@@ -144,6 +152,80 @@ fn hash(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let text = std::fs::read_to_string(path)?;
         let spec = ScenarioSpec::from_json(&text)?;
         println!("{}  {path}", spec.content_hash_hex());
+    }
+    Ok(())
+}
+
+/// `scenario exp <family> [--spec FILE] [--smoke] [--out DIR] [--compact]
+/// [--threads N]`. Every argument is checked, and the spec file read,
+/// before anything runs or is written.
+fn exp(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        println!("families: {}", FAMILIES.map(Family::name).join(", "));
+        return Ok(());
+    }
+    let (name, flags) = args
+        .split_first()
+        .ok_or("scenario exp needs an experiment family")?;
+    let family = Family::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown experiment family {name:?} (expected one of {})",
+            FAMILIES.map(Family::name).join(", ")
+        )
+    })?;
+    let mut spec_path: Option<PathBuf> = None;
+    let mut smoke = false;
+    let mut threads: Option<usize> = None;
+    let mut out_dir = default_output_dir();
+    let mut mode = ReportMode::Pretty;
+    let mut iter = flags.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--spec" => {
+                spec_path = Some(PathBuf::from(
+                    iter.next().ok_or("--spec needs a file path")?,
+                ));
+            }
+            "--out" => out_dir = PathBuf::from(iter.next().ok_or("--out needs a directory")?),
+            "--threads" => {
+                threads = Some(iter.next().ok_or("--threads needs a count")?.parse()?);
+            }
+            "--smoke" => smoke = true,
+            "--compact" => mode = ReportMode::Compact,
+            other => {
+                return Err(format!(
+                    "unexpected argument {other:?}: scenario exp takes parameters only \
+                     from a --spec file"
+                )
+                .into())
+            }
+        }
+    }
+    let spec = match spec_path {
+        Some(path) => {
+            let spec = ScenarioSpec::from_json(&std::fs::read_to_string(&path)?)?;
+            if spec.family() != family {
+                return Err(format!(
+                    "spec {} is a {} scenario, not {family}",
+                    path.display(),
+                    spec.family()
+                )
+                .into());
+            }
+            spec
+        }
+        None => family.default_spec(smoke),
+    };
+
+    let outcome = run_spec(&spec, threads)?;
+    println!("{}", outcome.headline);
+    print!("{}", outcome.table);
+    let writer = ReportWriter::new(out_dir).with_mode(mode);
+    println!("wrote {}", writer.write_report(&outcome.report)?.display());
+    if let Some(records) = &outcome.csv_records {
+        let csv = writer.write_csv(records, &outcome.report.name)?;
+        println!("wrote {}", csv.display());
     }
     Ok(())
 }

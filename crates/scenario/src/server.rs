@@ -431,6 +431,39 @@ mod tests {
     }
 
     #[test]
+    fn zero_pair_budgets_get_an_error_before_any_work() {
+        let mut server = ReportServer::new(1);
+        let spec = ScenarioSpec::static_resilience("ring", 6, 0.2, 0, 1, 1);
+        let query = Query {
+            geometry: "ring".to_owned(),
+            bits: 6,
+            failure_probability: 0.2,
+            pairs: Some(0),
+            trials: None,
+            seed: None,
+            backend: None,
+        };
+        let requests = [
+            Request::Report { spec: spec.clone() },
+            Request::Query { query },
+            Request::Hash { spec },
+        ];
+        for (id, request) in (1..).zip(requests) {
+            let line = serde_json::to_string(&RequestEnvelope { id, request }).unwrap();
+            let response = server.handle_line(&line);
+            assert!(
+                response.starts_with(&format!("{{\"id\":{id},\"err\":")),
+                "{response}"
+            );
+            assert!(response.contains("pairs must be at least 1"), "{response}");
+        }
+        let stats = server.stats();
+        assert_eq!(stats.errors, 3);
+        assert_eq!(stats.overlay_builds, 0);
+        assert_eq!(stats.report_misses, 0);
+    }
+
+    #[test]
     fn hash_requests_answer_without_running_anything() {
         let mut server = ReportServer::new(1);
         let spec = ScenarioSpec::static_resilience("ring", 12, 0.3, 1_000_000, 64, 1);

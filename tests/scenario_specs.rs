@@ -28,12 +28,27 @@ const PINNED_FILE_HASHES: [(&str, &str); 21] = [
     ("specs/sparse_population.json", "02388fefdba4a52b"),
     ("specs/static_resilience.json", "d272339bd4165aae"),
     ("specs/symphony_ablation.json", "ed164a7437f1435b"),
-    ("tests/specs/failure_campaigns_smoke.json", "de6960c04d4be862"),
+    (
+        "tests/specs/failure_campaigns_smoke.json",
+        "de6960c04d4be862",
+    ),
     ("tests/specs/fig3_smoke.json", "0f16da108d6f5d72"),
-    ("tests/specs/markov_validation_smoke.json", "ca702a7e572ee0e8"),
-    ("tests/specs/percolation_contrast_smoke.json", "95c35f178e5197e1"),
-    ("tests/specs/scalability_table_smoke.json", "63ae16bc31423294"),
-    ("tests/specs/static_resilience_ring_smoke.json", "908fa9dcc3cb54b5"),
+    (
+        "tests/specs/markov_validation_smoke.json",
+        "ca702a7e572ee0e8",
+    ),
+    (
+        "tests/specs/percolation_contrast_smoke.json",
+        "95c35f178e5197e1",
+    ),
+    (
+        "tests/specs/scalability_table_smoke.json",
+        "63ae16bc31423294",
+    ),
+    (
+        "tests/specs/static_resilience_ring_smoke.json",
+        "908fa9dcc3cb54b5",
+    ),
 ];
 
 /// The content hash of every family's paper-scale default spec (what
@@ -96,7 +111,11 @@ fn paper_scale_default_spec_hashes_are_pinned() {
     assert_eq!(PINNED_PAPER_HASHES.len(), FAMILIES.len());
     for (name, hash) in PINNED_PAPER_HASHES {
         let family = Family::from_name(name).unwrap_or_else(|| panic!("unknown family {name}"));
-        assert_eq!(family.default_spec(false).content_hash_hex(), hash, "{name}");
+        assert_eq!(
+            family.default_spec(false).content_hash_hex(),
+            hash,
+            "{name}"
+        );
     }
 }
 

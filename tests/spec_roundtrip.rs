@@ -1,6 +1,8 @@
 //! Property tests of the scenario-spec front door: serde round-trips and
 //! content-hash stability.
 
+use dht_rcm::experiments::fig6::Fig6Config;
+use dht_rcm::experiments::sparse_population::SparsePopulationConfig;
 use dht_rcm::experiments::spec::{
     Backend, ExecutionSpec, ExperimentSpec, ScenarioSpec, SPEC_SCHEMA,
 };
@@ -28,12 +30,12 @@ fn any_experiment() -> impl Strategy<Value = ExperimentSpec> {
             }
         }),
         (4u32..20, 4u32..12, 1u64..10_000, any_grid()).prop_map(
-            |(analytical_bits, simulation_bits, pairs, grid)| ExperimentSpec::Fig6a {
+            |(analytical_bits, simulation_bits, pairs, grid)| ExperimentSpec::Fig6a(Fig6Config {
                 analytical_bits,
                 simulation_bits,
                 pairs,
                 grid,
-            }
+            })
         ),
         (any_grid(),).prop_map(
             |(failure_probabilities,)| ExperimentSpec::ScalabilityTable {
@@ -42,13 +44,13 @@ fn any_experiment() -> impl Strategy<Value = ExperimentSpec> {
         ),
         (4u32..16, 1u64..4_000, any_grid(), 0u32..2, 1u64..65_536).prop_map(
             |(bits, pairs, grid, baseline, occupied)| {
-                ExperimentSpec::SparsePopulation {
+                ExperimentSpec::SparsePopulation(SparsePopulationConfig {
                     bits,
                     occupied,
                     include_full_baseline: baseline == 1,
                     pairs,
                     grid,
-                }
+                })
             }
         ),
         (0usize..5, 4u32..16, any_grid(), 1u64..5_000, 1u32..4).prop_map(
