@@ -2,8 +2,9 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy, NoRandomness};
+use crate::kernel::KernelRule;
 use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{distance::ring_distance, KeySpace, NodeId, Population};
+use dht_id::{distance::ring_distance, NodeId, Population};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -91,30 +92,21 @@ impl GeometryStrategy for ChordStrategy {
         ring_greedy_next_hop(neighbors, current, target, alive)
     }
 
-    fn kernel_rule(&self) -> Option<crate::kernel::KernelRule> {
+    fn kernel_rule(&self) -> KernelRule {
         // Hop key: each finger's clockwise advance, fixed at build time.
-        Some(crate::kernel::KernelRule::RingAdvance)
+        KernelRule::RingAdvance
     }
 
-    fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
-        if !population.is_full() {
-            return None;
-        }
+    fn implicit_stream_words(&self, population: &Population) -> u64 {
         match self.variant {
             // Deterministic fingers draw nothing.
-            ChordVariant::Deterministic => Some(0),
+            ChordVariant::Deterministic => 0,
             // Every finger above the first draws one `gen_range` over a
             // power-of-two span — exactly one `next_u64` (two words) with the
             // vendored Lemire sampler, which never rejects on power-of-two
             // spans. Finger 1 has span 1 and draws nothing.
-            ChordVariant::Randomized => {
-                Some(2 * u64::from(population.space().bits().saturating_sub(1)))
-            }
+            ChordVariant::Randomized => 2 * u64::from(population.space().bits().saturating_sub(1)),
         }
-    }
-
-    fn supports_live(&self) -> bool {
-        true
     }
 
     fn live_table_width(&self, population: &Population) -> usize {
@@ -218,10 +210,7 @@ pub(crate) fn ring_greedy_next_hop(
 /// assert_eq!(overlay.neighbors(space.wrap(0)).len(), 12);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ChordOverlay {
-    inner: GeometryOverlay<ChordStrategy>,
-}
+pub type ChordOverlay = GeometryOverlay<ChordStrategy>;
 
 impl ChordOverlay {
     /// Builds a deterministic-finger overlay over the full population (no
@@ -265,21 +254,19 @@ impl ChordOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over<R: Rng + ?Sized>(
         population: Population,
         variant: ChordVariant,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        Ok(ChordOverlay {
-            inner: GeometryOverlay::build(population, ChordStrategy::new(variant), rng)?,
-        })
+        Self::over(population, ChordStrategy::new(variant), rng)
     }
 
     /// Which finger-selection variant this overlay was built with.
     #[must_use]
     pub fn variant(&self) -> ChordVariant {
-        self.inner.strategy().variant()
+        self.strategy().variant()
     }
 
     /// The `i`-th finger (1-based, covering distance `[2^{i−1}, 2^i)`).
@@ -291,37 +278,7 @@ impl ChordOverlay {
     #[must_use]
     pub fn finger(&self, node: NodeId, finger: u32) -> NodeId {
         assert!(finger >= 1, "fingers are 1-based");
-        self.inner.neighbors(node)[(finger - 1) as usize]
-    }
-}
-
-impl Overlay for ChordOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        self.neighbors(node)[(finger - 1) as usize]
     }
 }
 
@@ -329,6 +286,7 @@ impl Overlay for ChordOverlay {
 mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -16,6 +16,14 @@ use std::sync::{Arc, OnceLock};
 /// everything else — CSR storage, population handling, validation and the
 /// [`Overlay`] plumbing — exactly once.
 ///
+/// Every method except [`GeometryStrategy::validate`] is required, so a
+/// strategy serves all three backends: the materialized overlay
+/// ([`GeometryOverlay`], routed through its compiled
+/// [`GeometryStrategy::kernel_rule`]), the implicit one
+/// ([`crate::ImplicitOverlay`], via
+/// [`GeometryStrategy::implicit_stream_words`]) and live churn
+/// ([`crate::LiveOverlay`], via the three `live_*` hooks).
+///
 /// Strategies are `Send + Sync` (like [`Overlay`] itself): they are immutable
 /// after construction and queried concurrently by batch routing drivers.
 pub trait GeometryStrategy: Send + Sync {
@@ -53,65 +61,56 @@ pub trait GeometryStrategy: Send + Sync {
         alive: &FailureMask,
     ) -> Option<NodeId>;
 
-    /// The hop-key rule the compiled routing kernel lowers this geometry
-    /// with, or `None` when the geometry cannot be compiled (scalar routing
-    /// only — the default).
+    /// Checks the strategy's own parameters against `population` before any
+    /// table is built.
     ///
-    /// A strategy that exports a rule asserts that the rule's dispatch over
-    /// its precomputed hop keys reproduces [`GeometryStrategy::next_hop`]
-    /// *exactly* — the kernel equivalence suite holds every geometry to
-    /// bit-identical [`crate::RouteOutcome`]s.
-    fn kernel_rule(&self) -> Option<KernelRule> {
-        None
+    /// Every backend ([`GeometryOverlay::over`],
+    /// [`crate::ImplicitOverlay::over`] and [`crate::LiveOverlay::build`])
+    /// calls this once, after its own identifier-space and population
+    /// checks. The default accepts everything; geometries with free
+    /// parameters (Symphony's connection counts) override it.
+    ///
+    /// # Errors
+    ///
+    /// [`OverlayError::InvalidParameter`] when the parameters cannot be
+    /// honoured over `population`.
+    fn validate(&self, population: &Population) -> Result<(), OverlayError> {
+        let _ = population;
+        Ok(())
     }
 
+    /// The hop-key rule the compiled routing kernel lowers this geometry
+    /// with.
+    ///
+    /// The rule's dispatch over its precomputed hop keys must reproduce
+    /// [`GeometryStrategy::next_hop`] *exactly* — the kernel equivalence
+    /// suite holds every geometry to bit-identical [`crate::RouteOutcome`]s.
+    fn kernel_rule(&self) -> KernelRule;
+
     /// The exact number of 32-bit RNG words [`GeometryStrategy::build_table`]
-    /// consumes per node, when that count is a constant — the contract the
+    /// consumes per node over the full `population` — the contract the
     /// implicit backend ([`crate::ImplicitOverlay`]) is built on.
     ///
     /// During a materialized build every node's table is drawn from one
     /// shared sequential stream. When the per-node draw count is fixed, the
     /// stream offset of rank `r` is simply `r * words`, so any single row can
     /// be regenerated bit-identically by seeking a counter-mode RNG — no
-    /// table ever needs to stay resident. Returning `Some(words)` asserts
-    /// exactly that: *every* node consumes exactly `words` 32-bit words, in
-    /// rank order, independent of what the draws produce. The cross-backend
+    /// table ever needs to stay resident. The returned count asserts exactly
+    /// that: *every* node consumes exactly `words` 32-bit words, in rank
+    /// order, independent of what the draws produce. The cross-backend
     /// equivalence suite holds implementations to this bit-for-bit.
     ///
-    /// The default is `None`: the geometry (or this population shape) cannot
-    /// be routed implicitly. Implementations typically return `Some` only for
-    /// full populations, where table construction never branches on
-    /// occupancy.
-    fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
-        let _ = population;
-        None
-    }
+    /// Only called for full populations (the implicit backend rejects sparse
+    /// ones first), where table construction never branches on occupancy.
+    fn implicit_stream_words(&self, population: &Population) -> u64;
 
-    /// Whether the geometry implements the live-churn maintenance hooks
-    /// below ([`crate::LiveOverlay`] refuses strategies that do not).
-    ///
-    /// The default is `false`: a strategy only participates in live churn
-    /// once it provides [`GeometryStrategy::build_live_table`] and
-    /// [`GeometryStrategy::live_repair_candidates`] and has argued their
-    /// rebuild-equivalence (the `incremental_equivalence` property suite
-    /// holds every live geometry to entry-for-entry agreement with a
-    /// from-scratch rebuild).
-    fn supports_live(&self) -> bool {
-        false
-    }
-
-    /// The fixed per-node table width of the live construction family.
+    /// The fixed per-node table width of the live construction family
+    /// ([`crate::LiveOverlay`]).
     ///
     /// Live tables are fixed-width by contract (self-entries pad
     /// unsatisfiable slots) so [`crate::RoutingArena::rewrite_table`] and the
     /// kernel's in-place row repair never resize rows.
-    fn live_table_width(&self, population: &Population) -> usize {
-        let _ = population;
-        panic!(
-            "geometry `{}` does not support live churn",
-            self.geometry_name()
-        );
-    }
+    fn live_table_width(&self, population: &Population) -> usize;
 
     /// Builds `node`'s live routing table against the current `alive` set,
     /// appending exactly [`GeometryStrategy::live_table_width`] entries.
@@ -122,7 +121,9 @@ pub trait GeometryStrategy: Send + Sync {
     /// resolved against the alive set (membership-independent draws), so
     /// that repairing a node after any event sequence reproduces exactly the
     /// table a from-scratch rebuild would choose. Unsatisfiable slots push
-    /// `node` itself as a placeholder.
+    /// `node` itself as a placeholder. The `incremental_equivalence`
+    /// property suite holds every geometry to entry-for-entry agreement with
+    /// a from-scratch rebuild.
     fn build_live_table(
         &self,
         population: &Population,
@@ -130,13 +131,7 @@ pub trait GeometryStrategy: Send + Sync {
         node_seed: u64,
         alive: &FailureMask,
         table: &mut Vec<NodeId>,
-    ) {
-        let _ = (population, node, node_seed, alive, table);
-        panic!(
-            "geometry `{}` does not support live churn",
-            self.geometry_name()
-        );
-    }
+    );
 
     /// Names the nodes whose tables may change when `node` (just revived,
     /// already marked alive in `alive`) joins the overlay.
@@ -156,21 +151,15 @@ pub trait GeometryStrategy: Send + Sync {
         alive: &FailureMask,
         witnesses: &mut Vec<NodeId>,
         direct: &mut Vec<NodeId>,
-    ) {
-        let _ = (population, node, alive, witnesses, direct);
-        panic!(
-            "geometry `{}` does not support live churn",
-            self.geometry_name()
-        );
-    }
+    );
 }
 
 /// An executable overlay: a [`GeometryStrategy`] plus a [`Population`] plus
 /// one [`RoutingArena`] holding every routing table.
 ///
-/// The five public overlay types ([`crate::ChordOverlay`] etc.) are thin
-/// wrappers around this struct; use them unless you are adding a new
-/// geometry.
+/// The five public overlay types ([`crate::ChordOverlay`] etc.) are aliases
+/// of this struct for one strategy each, with per-geometry constructors and
+/// accessors; use them unless you are adding a new geometry.
 ///
 /// # Example
 ///
@@ -183,7 +172,7 @@ pub trait GeometryStrategy: Send + Sync {
 ///
 /// let space = dht_id::KeySpace::new(8)?;
 /// let mut rng = ChaCha8Rng::seed_from_u64(1);
-/// let overlay = GeometryOverlay::build(
+/// let overlay = GeometryOverlay::over(
 ///     Population::full(space),
 ///     ChordStrategy::new(ChordVariant::Randomized),
 ///     &mut rng,
@@ -199,8 +188,7 @@ pub struct GeometryOverlay<S> {
     population: Arc<Population>,
     strategy: S,
     arena: RoutingArena,
-    /// Lazily compiled rank-space plan (see [`crate::kernel`]); only
-    /// geometries whose strategy exports a [`KernelRule`] ever initialise it.
+    /// Lazily compiled rank-space plan (see [`crate::kernel`]).
     kernel: OnceLock<RoutingKernel>,
 }
 
@@ -215,13 +203,15 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
     /// materialized ceiling; full populations beyond it can route through
     /// [`crate::ImplicitOverlay`] instead), or
     /// [`OverlayError::InvalidParameter`] if fewer than two identifiers are
-    /// occupied.
-    pub fn build<R: Rng + ?Sized>(
+    /// occupied or the strategy rejects its parameters
+    /// ([`GeometryStrategy::validate`]).
+    pub fn over<R: Rng + ?Sized>(
         population: Population,
         strategy: S,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
         validate_population(&population)?;
+        strategy.validate(&population)?;
         let nodes = population.node_count() as usize;
         let mut arena =
             RoutingArena::with_capacity(nodes, nodes * strategy.table_len_hint(&population));
@@ -251,30 +241,23 @@ impl<S: GeometryStrategy> GeometryOverlay<S> {
         &self.arena
     }
 
-    /// The compiled rank-space routing kernel, or `None` when the strategy
-    /// exports no [`KernelRule`].
+    /// The compiled rank-space routing kernel, lowered with the strategy's
+    /// [`GeometryStrategy::kernel_rule`].
     ///
     /// Compilation is lazy (first call pays the O(edges) lowering) and
     /// cached, so overlays that are only built or routed scalar never spend
     /// the plan's memory. Thread-safe: concurrent first calls race on a
     /// [`OnceLock`] and agree on one plan.
     #[must_use]
-    pub fn routing_kernel(&self) -> Option<&RoutingKernel> {
-        let rule = self.strategy.kernel_rule()?;
-        Some(
-            self.kernel
-                .get_or_init(|| RoutingKernel::compile(rule, &self.population, &self.arena, false)),
-        )
-    }
-
-    /// Whether the lazy kernel has already been compiled for this overlay.
-    ///
-    /// Purely observational (never triggers compilation) — the serving
-    /// layer's caches use it to assert that reusing an overlay across
-    /// queries did not recompile the plan.
-    #[must_use]
-    pub fn kernel_compiled(&self) -> bool {
-        self.kernel.get().is_some()
+    pub fn routing_kernel(&self) -> &RoutingKernel {
+        self.kernel.get_or_init(|| {
+            RoutingKernel::compile(
+                self.strategy.kernel_rule(),
+                &self.population,
+                &self.arena,
+                false,
+            )
+        })
     }
 }
 
@@ -310,7 +293,7 @@ impl<S: GeometryStrategy> Overlay for GeometryOverlay<S> {
     }
 
     fn kernel(&self) -> Option<&RoutingKernel> {
-        self.routing_kernel()
+        Some(self.routing_kernel())
     }
 
     fn resident_bytes(&self) -> usize {
@@ -342,43 +325,13 @@ impl rand::RngCore for NoRandomness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chord::ChordStrategy;
+    use crate::ChordVariant;
     use dht_id::KeySpace;
 
-    /// A minimal strategy: every node links to its clockwise successor.
-    #[derive(Debug, Clone, Copy)]
-    struct SuccessorStrategy;
-
-    impl GeometryStrategy for SuccessorStrategy {
-        fn geometry_name(&self) -> &'static str {
-            "successor"
-        }
-
-        fn table_len_hint(&self, _population: &Population) -> usize {
-            1
-        }
-
-        fn build_table<R: Rng + ?Sized>(
-            &self,
-            population: &Population,
-            node: NodeId,
-            _rng: &mut R,
-            table: &mut Vec<NodeId>,
-        ) {
-            table.push(population.successor(node.value().wrapping_add(1)));
-        }
-
-        fn next_hop(
-            &self,
-            neighbors: &[NodeId],
-            current: NodeId,
-            _target: NodeId,
-            alive: &FailureMask,
-        ) -> Option<NodeId> {
-            neighbors
-                .iter()
-                .copied()
-                .find(|&n| n != current && alive.is_alive(n))
-        }
+    /// Deterministic fingers: `a + 2^{i-1}`, resolved to successors.
+    fn fingers() -> ChordStrategy {
+        ChordStrategy::new(ChordVariant::Deterministic)
     }
 
     fn space(bits: u32) -> KeySpace {
@@ -387,29 +340,30 @@ mod tests {
 
     #[test]
     fn full_population_overlay_uses_the_arena() {
-        let overlay = GeometryOverlay::build(
-            Population::full(space(4)),
-            SuccessorStrategy,
-            &mut NoRandomness,
-        )
-        .unwrap();
+        let overlay =
+            GeometryOverlay::over(Population::full(space(4)), fingers(), &mut NoRandomness)
+                .unwrap();
         assert_eq!(overlay.node_count(), 16);
-        assert_eq!(overlay.edge_count(), 16);
-        assert_eq!(overlay.arena().entry_count(), 16);
+        assert_eq!(overlay.edge_count(), 16 * 4);
+        assert_eq!(overlay.arena().entry_count(), 16 * 4);
         let s = overlay.key_space();
-        assert_eq!(overlay.neighbors(s.wrap(3)), &[s.wrap(4)]);
-        assert_eq!(overlay.neighbors(s.wrap(15)), &[s.wrap(0)]);
+        let ids = |values: [u64; 4]| values.map(|v| s.wrap(v));
+        assert_eq!(overlay.neighbors(s.wrap(3)), &ids([4, 5, 7, 11]));
+        assert_eq!(overlay.neighbors(s.wrap(15)), &ids([0, 1, 3, 7]));
     }
 
     #[test]
     fn sparse_population_maps_ranks_and_returns_empty_for_unoccupied() {
         let s = space(6);
         let population = Population::sparse(s, [s.wrap(5), s.wrap(40), s.wrap(9)]).unwrap();
-        let overlay =
-            GeometryOverlay::build(population, SuccessorStrategy, &mut NoRandomness).unwrap();
+        let overlay = GeometryOverlay::over(population, fingers(), &mut NoRandomness).unwrap();
         assert_eq!(overlay.node_count(), 3);
-        assert_eq!(overlay.neighbors(s.wrap(5)), &[s.wrap(9)]);
-        assert_eq!(overlay.neighbors(s.wrap(40)), &[s.wrap(5)]);
+        // Targets 6, 7, 9, 13, 21, 37 resolve to their occupied successors.
+        let row = [9, 9, 9, 40, 40, 40].map(|v| s.wrap(v));
+        assert_eq!(overlay.neighbors(s.wrap(5)), &row);
+        // Targets 41, 42, 44, 48, 56, 8 wrap around the ring.
+        let row = [5, 5, 5, 5, 5, 9].map(|v| s.wrap(v));
+        assert_eq!(overlay.neighbors(s.wrap(40)), &row);
         assert_eq!(overlay.neighbors(s.wrap(7)), &[] as &[NodeId]);
     }
 
@@ -418,8 +372,58 @@ mod tests {
         let s = space(6);
         let one = Population::sparse(s, [s.wrap(1)]).unwrap();
         assert!(matches!(
-            GeometryOverlay::build(one, SuccessorStrategy, &mut NoRandomness),
+            GeometryOverlay::over(one, fingers(), &mut NoRandomness),
             Err(OverlayError::InvalidParameter { .. })
         ));
+    }
+
+    /// Asserts the materialized accounting: the arena alone until the lazy
+    /// kernel compiles, then the arena plus the compiled plan.
+    fn assert_counts_arena_then_plan<S: GeometryStrategy>(overlay: &GeometryOverlay<S>) {
+        let name = overlay.geometry_name();
+        let arena = overlay.arena().resident_bytes();
+        assert_eq!(overlay.resident_bytes(), arena, "{name} before compile");
+        let plan = overlay
+            .kernel()
+            .expect("every geometry compiles")
+            .plan_bytes();
+        assert!(plan > 0, "{name} plan");
+        assert_eq!(
+            overlay.resident_bytes(),
+            arena + plan,
+            "{name} after compile"
+        );
+    }
+
+    #[test]
+    fn resident_bytes_count_the_arena_then_the_compiled_plan() {
+        use crate::{
+            CanOverlay, ChordOverlay, KademliaOverlay, LiveOverlay, PlaxtonOverlay, SymphonyOverlay,
+        };
+        use rand::SeedableRng;
+        let rng = |seed| rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        assert_counts_arena_then_plan(
+            &ChordOverlay::build(8, ChordVariant::Deterministic).unwrap(),
+        );
+        assert_counts_arena_then_plan(&KademliaOverlay::build(8, &mut rng(1)).unwrap());
+        assert_counts_arena_then_plan(&PlaxtonOverlay::build(8, &mut rng(2)).unwrap());
+        assert_counts_arena_then_plan(&CanOverlay::build(8).unwrap());
+        assert_counts_arena_then_plan(&SymphonyOverlay::build(8, 2, 2, &mut rng(3)).unwrap());
+
+        // The live overlay compiles eagerly and also keeps a reverse-edge
+        // index: one list header per node and one `u32` rank per edge.
+        let live = LiveOverlay::build(Population::full(space(8)), fingers(), 4).unwrap();
+        let tables = live.arena().resident_bytes() + live.routing_kernel().plan_bytes();
+        let index = live
+            .resident_bytes()
+            .checked_sub(tables)
+            .expect("the live overlay counts its arena and plan");
+        let nodes = live.node_count() as usize;
+        let edges = live.edge_count() as usize;
+        let least = nodes * std::mem::size_of::<Vec<u32>>() + edges * std::mem::size_of::<u32>();
+        assert!(
+            index >= least,
+            "reverse index counted as {index} bytes, expected at least {least}"
+        );
     }
 }

@@ -2,8 +2,9 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
+use crate::kernel::KernelRule;
 use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{distance::xor_distance, KeySpace, NodeId, Population};
+use dht_id::{distance::xor_distance, NodeId, Population};
 use rand::Rng;
 
 /// The XOR geometry as a [`GeometryStrategy`]: one contact per bucket,
@@ -180,24 +181,18 @@ impl GeometryStrategy for KademliaStrategy {
             .min_by_key(|&n| xor_distance(n, target))
     }
 
-    fn kernel_rule(&self) -> Option<crate::kernel::KernelRule> {
+    fn kernel_rule(&self) -> KernelRule {
         // Hop key: the contact's value at its bucket position; the bucket of
         // the highest differing bit is provably the XOR minimum when alive.
-        Some(crate::kernel::KernelRule::PrefixXor)
+        KernelRule::PrefixXor
     }
 
-    fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
+    fn implicit_stream_words(&self, population: &Population) -> u64 {
         // Full-population buckets draw one `random_id` (one `next_u64`, two
-        // words) per bucket, unconditionally. Sparse bucket sampling draws a
-        // variable number of words (rejection against occupancy), so only the
-        // full construction has a fixed stream offset per rank.
-        population
-            .is_full()
-            .then(|| 2 * u64::from(population.space().bits()))
-    }
-
-    fn supports_live(&self) -> bool {
-        true
+        // words) per bucket, unconditionally. (Sparse bucket sampling draws a
+        // variable number of words, rejection against occupancy, which is
+        // why the implicit backend is full-population only.)
+        2 * u64::from(population.space().bits())
     }
 
     fn live_table_width(&self, population: &Population) -> usize {
@@ -250,10 +245,7 @@ impl GeometryStrategy for KademliaStrategy {
 /// assert_eq!(overlay.node_count(), 4096);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct KademliaOverlay {
-    inner: GeometryOverlay<KademliaStrategy>,
-}
+pub type KademliaOverlay = GeometryOverlay<KademliaStrategy>;
 
 impl KademliaOverlay {
     /// Builds the fully populated XOR overlay with one random contact per
@@ -276,14 +268,12 @@ impl KademliaOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over<R: Rng + ?Sized>(
         population: Population,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        Ok(KademliaOverlay {
-            inner: GeometryOverlay::build(population, KademliaStrategy, rng)?,
-        })
+        Self::over(population, KademliaStrategy, rng)
     }
 
     /// The contact stored in bucket `bucket` (0 = the bucket covering the far
@@ -296,37 +286,7 @@ impl KademliaOverlay {
     /// overlay.
     #[must_use]
     pub fn bucket_contact(&self, node: NodeId, bucket: u32) -> NodeId {
-        self.inner.neighbors(node)[bucket as usize]
-    }
-}
-
-impl Overlay for KademliaOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        self.neighbors(node)[bucket as usize]
     }
 }
 
@@ -335,6 +295,7 @@ mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
     use dht_id::prefix::common_prefix_len;
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -112,8 +112,7 @@ const NO_ENTRY: u32 = u32::MAX;
 /// the kernel's next-hop uses over it.
 ///
 /// Each [`GeometryStrategy`](crate::generic::GeometryStrategy) exports its
-/// rule through `kernel_rule`; strategies that return `None` cannot be
-/// lowered and keep routing through the scalar path.
+/// rule through `kernel_rule`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelRule {
     /// Greedy non-overshooting ring forwarding (Chord, Symphony). Hop key:

@@ -135,10 +135,9 @@ impl ImplicitKernel {
     /// * [`OverlayError::UnsupportedBits`] if the space exceeds
     ///   [`MAX_IMPLICIT_OVERLAY_BITS`](crate::traits::MAX_IMPLICIT_OVERLAY_BITS)
     ///   bits (or is zero bits).
-    /// * [`OverlayError::InvalidParameter`] if the population is sparse, the
-    ///   strategy exports no [`KernelRule`], or it declares no fixed
-    ///   per-node stream stride
-    ///   ([`GeometryStrategy::implicit_stream_words`]).
+    /// * [`OverlayError::InvalidParameter`] if the population is sparse or
+    ///   the strategy rejects its parameters
+    ///   ([`GeometryStrategy::validate`]).
     pub fn from_strategy<S: GeometryStrategy + Clone + 'static>(
         population: &Arc<Population>,
         strategy: &S,
@@ -156,29 +155,14 @@ impl ImplicitKernel {
                 ),
             });
         }
-        let Some(rule) = strategy.kernel_rule() else {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "geometry `{}` exports no kernel rule and cannot be routed implicitly",
-                    strategy.geometry_name()
-                ),
-            });
-        };
-        let Some(words_per_node) = strategy.implicit_stream_words(population) else {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "geometry `{}` declares no fixed per-node stream stride",
-                    strategy.geometry_name()
-                ),
-            });
-        };
+        strategy.validate(population)?;
         let row_width = strategy.table_len_hint(population);
         let generator = strategy.clone();
         let generator_population = Arc::clone(population);
         Ok(ImplicitKernel {
-            header: RankSpace::new(rule, population),
+            header: RankSpace::new(strategy.kernel_rule(), population),
             stream_seed,
-            words_per_node,
+            words_per_node: strategy.implicit_stream_words(population),
             row_width,
             row_fn: Box::new(move |node, rng, table| {
                 generator.build_table(&generator_population, node, rng, table);
@@ -663,33 +647,15 @@ impl ImplicitOverlay<crate::symphony::SymphonyStrategy> {
     ///
     /// # Errors
     ///
-    /// As [`ImplicitOverlay::over`], plus
-    /// [`OverlayError::InvalidParameter`] for zero connection counts or
-    /// `near_neighbors >= 2^bits` (mirroring
-    /// [`crate::SymphonyOverlay::build`]).
+    /// As [`ImplicitOverlay::over`]; zero connection counts or
+    /// `near_neighbors >= 2^bits` are [`OverlayError::InvalidParameter`]
+    /// (as for [`crate::SymphonyOverlay::build`]).
     pub fn symphony(
         bits: u32,
         near_neighbors: u32,
         shortcuts: u32,
         stream_seed: u64,
     ) -> Result<Self, OverlayError> {
-        if near_neighbors == 0 || shortcuts == 0 {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "Symphony needs at least one near neighbour and one shortcut, got \
-                     k_n={near_neighbors}, k_s={shortcuts}"
-                ),
-            });
-        }
-        let space = validate_implicit_bits(bits)?;
-        if u64::from(near_neighbors) >= space.population() {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "{near_neighbors} near neighbours do not fit a population of {}",
-                    space.population()
-                ),
-            });
-        }
         Self::over(
             bits,
             crate::symphony::SymphonyStrategy::new(near_neighbors, shortcuts),

@@ -18,21 +18,30 @@
 //!
 //! # Architecture
 //!
-//! Each overlay is a thin wrapper over one [`GeometryOverlay`], which pairs a
-//! per-geometry [`generic::GeometryStrategy`] (table construction plus the
-//! greedy next-hop rule) with a [`dht_id::Population`] and stores every
-//! routing table in a single flat CSR [`RoutingArena`] — `neighbors()` is a
-//! slice into that arena and the edge count is O(1). Populations may be full
+//! Each overlay is a type alias of one [`GeometryOverlay<S>`](GeometryOverlay)
+//! (e.g. `ChordOverlay = GeometryOverlay<ChordStrategy>`) with per-geometry
+//! constructors and accessors. [`GeometryOverlay`] pairs a per-geometry
+//! [`GeometryStrategy`] (table construction plus the greedy next-hop rule)
+//! with a [`dht_id::Population`] and stores every routing table in a single
+//! flat CSR [`RoutingArena`] — `neighbors()` is a slice into that arena and
+//! the edge count is O(1). Populations may be full
 //! (`N = 2^d`, the paper's model) or sparse (`n < 2^d` occupied
 //! identifiers), in which case fingers, bucket contacts and successors
 //! resolve against the occupied set, the way deployed DHTs do.
+//!
+//! A strategy has no optional parts: every geometry exports its kernel rule,
+//! its implicit stream stride and its live-churn hooks, so all three
+//! backends below accept all five geometries.
 //!
 //! For batch measurement, every geometry also lowers into a compiled
 //! rank-space [`RoutingKernel`] (see [`kernel`]): per-entry hop keys are
 //! precomputed at build time and alive checks become direct bit tests by
 //! occupied rank, with outcomes bit-identical to the scalar path. The
 //! kernel compiles lazily on first [`Overlay::kernel`] call; `dht_sim`'s
-//! trial engine routes through it automatically.
+//! trial engine routes through it automatically. Full populations beyond the
+//! materialized ceiling route through [`ImplicitOverlay<S>`](ImplicitOverlay),
+//! which regenerates each row from the construction seed instead of storing
+//! it.
 //!
 //! Beyond the frozen snapshots, [`LiveOverlay`] (see [`live`]) runs the same
 //! five geometries under *live churn*: nodes of a fixed universe depart and

@@ -258,32 +258,17 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`OverlayError::InvalidParameter`] when the strategy does not
-    /// implement the live maintenance hooks ([`GeometryStrategy::supports_live`])
-    /// or exports no kernel rule, and the usual construction errors for
-    /// unsupported spaces or too-small populations.
+    /// The construction errors of [`crate::GeometryOverlay::over`]:
+    /// [`OverlayError::UnsupportedBits`] for unsupported spaces, and
+    /// [`OverlayError::InvalidParameter`] for too-small populations or
+    /// parameters the strategy rejects ([`GeometryStrategy::validate`]).
     pub fn build(
         population: Population,
         strategy: S,
         master_seed: u64,
     ) -> Result<Self, OverlayError> {
-        if !strategy.supports_live() {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "geometry `{}` does not implement the live maintenance hooks",
-                    strategy.geometry_name()
-                ),
-            });
-        }
-        if strategy.kernel_rule().is_none() {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "geometry `{}` exports no kernel rule; live overlays require a compiled plan",
-                    strategy.geometry_name()
-                ),
-            });
-        }
         validate_population(&population)?;
+        strategy.validate(&population)?;
         let mask = FailureMask::none_over(&population);
         Ok(Self::build_at(
             Arc::new(population),
@@ -324,10 +309,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
             }
             arena.push_table(&table);
         }
-        let rule = strategy
-            .kernel_rule()
-            .expect("checked by LiveOverlay::build");
-        let kernel = RoutingKernel::compile(rule, &population, &arena, true);
+        let kernel = RoutingKernel::compile(strategy.kernel_rule(), &population, &arena, true);
         let mut in_edges: Vec<Vec<u32>> = vec![Vec::new(); node_count];
         for rank in 0..node_count {
             for &entry in arena.neighbors(rank) {
@@ -560,8 +542,7 @@ impl<S: GeometryStrategy> LiveOverlay<S> {
         &self.rank_words
     }
 
-    /// The compiled live routing plan (always present: [`LiveOverlay::build`]
-    /// rejects strategies without a kernel rule).
+    /// The compiled live routing plan.
     #[must_use]
     pub fn routing_kernel(&self) -> &RoutingKernel {
         &self.kernel
@@ -633,6 +614,19 @@ impl<S: GeometryStrategy> Overlay for LiveOverlay<S> {
     fn kernel(&self) -> Option<&RoutingKernel> {
         Some(&self.kernel)
     }
+
+    /// The arena and the compiled plan (as for [`crate::GeometryOverlay`])
+    /// plus the reverse-edge index. The alive mask and its rank-indexed
+    /// bitset are not routing state and are not counted.
+    fn resident_bytes(&self) -> usize {
+        let index = self.in_edges.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self
+                .in_edges
+                .iter()
+                .map(|owners| owners.capacity() * std::mem::size_of::<u32>())
+                .sum::<usize>();
+        self.arena.resident_bytes() + self.kernel.plan_bytes() + index
+    }
 }
 
 #[cfg(test)]
@@ -678,41 +672,6 @@ mod tests {
         let mut seen = Vec::new();
         for_each_alive_in_range(&population, &mask, 5, 40, |n| seen.push(n.value()));
         assert_eq!(seen, vec![5, 20, 40], "dead 9 is skipped");
-    }
-
-    #[test]
-    fn build_rejects_non_live_strategies() {
-        // The test-only successor strategy has no live hooks.
-        #[derive(Debug)]
-        struct NoLive;
-        impl GeometryStrategy for NoLive {
-            fn geometry_name(&self) -> &'static str {
-                "nolive"
-            }
-            fn table_len_hint(&self, _population: &Population) -> usize {
-                1
-            }
-            fn build_table<R: rand::Rng + ?Sized>(
-                &self,
-                population: &Population,
-                node: NodeId,
-                _rng: &mut R,
-                table: &mut Vec<NodeId>,
-            ) {
-                table.push(population.successor(node.value().wrapping_add(1)));
-            }
-            fn next_hop(
-                &self,
-                _neighbors: &[NodeId],
-                _current: NodeId,
-                _target: NodeId,
-                _alive: &FailureMask,
-            ) -> Option<NodeId> {
-                None
-            }
-        }
-        let err = LiveOverlay::build(Population::full(space(4)), NoLive, 1).unwrap_err();
-        assert!(matches!(err, OverlayError::InvalidParameter { .. }));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
 use crate::kademlia::build_prefix_table;
+use crate::kernel::KernelRule;
 use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{prefix::highest_differing_bit, KeySpace, NodeId, Population};
+use dht_id::{prefix::highest_differing_bit, NodeId, Population};
 use rand::Rng;
 
 /// The tree geometry as a [`GeometryStrategy`]: prefix tables (structurally
@@ -52,22 +53,16 @@ impl GeometryStrategy for PlaxtonStrategy {
         alive.is_alive(entry).then_some(entry)
     }
 
-    fn kernel_rule(&self) -> Option<crate::kernel::KernelRule> {
+    fn kernel_rule(&self) -> KernelRule {
         // Hop key: the entry's value at its level position; a single
         // leading-zero-dispatched probe, no fallback.
-        Some(crate::kernel::KernelRule::PrefixTree)
+        KernelRule::PrefixTree
     }
 
-    fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
+    fn implicit_stream_words(&self, population: &Population) -> u64 {
         // Same construction family as the XOR geometry: one `random_id` (two
         // words) per level over a full population.
-        population
-            .is_full()
-            .then(|| 2 * u64::from(population.space().bits()))
-    }
-
-    fn supports_live(&self) -> bool {
-        true
+        2 * u64::from(population.space().bits())
     }
 
     fn live_table_width(&self, population: &Population) -> usize {
@@ -122,10 +117,7 @@ impl GeometryStrategy for PlaxtonStrategy {
 /// assert_eq!(overlay.neighbors(overlay.key_space().wrap(0)).len(), 8);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct PlaxtonOverlay {
-    inner: GeometryOverlay<PlaxtonStrategy>,
-}
+pub type PlaxtonOverlay = GeometryOverlay<PlaxtonStrategy>;
 
 impl PlaxtonOverlay {
     /// Builds the fully populated tree overlay, drawing the random suffix of
@@ -148,14 +140,12 @@ impl PlaxtonOverlay {
     /// # Errors
     ///
     /// Returns [`OverlayError::UnsupportedBits`] or
-    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::build`].
+    /// [`OverlayError::InvalidParameter`] as in [`GeometryOverlay::over`].
     pub fn build_over<R: Rng + ?Sized>(
         population: Population,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        Ok(PlaxtonOverlay {
-            inner: GeometryOverlay::build(population, PlaxtonStrategy, rng)?,
-        })
+        Self::over(population, PlaxtonStrategy, rng)
     }
 
     /// The routing-table entry that corrects bit `level` (0 = most
@@ -169,37 +159,7 @@ impl PlaxtonOverlay {
     /// overlay.
     #[must_use]
     pub fn entry_for_level(&self, node: NodeId, level: u32) -> NodeId {
-        self.inner.neighbors(node)[level as usize]
-    }
-}
-
-impl Overlay for PlaxtonOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
+        self.neighbors(node)[level as usize]
     }
 }
 
@@ -208,6 +168,7 @@ mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
     use dht_id::prefix::common_prefix_len;
+    use dht_id::KeySpace;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

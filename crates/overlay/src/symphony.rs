@@ -2,8 +2,9 @@
 
 use crate::failure::FailureMask;
 use crate::generic::{GeometryOverlay, GeometryStrategy};
-use crate::traits::{validate_bits, Overlay, OverlayError};
-use dht_id::{KeySpace, NodeId, Population};
+use crate::kernel::KernelRule;
+use crate::traits::{validate_bits, OverlayError};
+use dht_id::{NodeId, Population};
 use rand::Rng;
 
 /// The small-world geometry as a [`GeometryStrategy`]: `k_n` clockwise
@@ -87,23 +88,38 @@ impl GeometryStrategy for SymphonyStrategy {
         crate::chord::ring_greedy_next_hop(neighbors, current, target, alive)
     }
 
-    fn kernel_rule(&self) -> Option<crate::kernel::KernelRule> {
+    fn validate(&self, population: &Population) -> Result<(), OverlayError> {
+        let (near, shortcuts) = (self.near_neighbors, self.shortcuts);
+        if near == 0 || shortcuts == 0 {
+            return Err(OverlayError::InvalidParameter {
+                message: format!(
+                    "Symphony needs at least one near neighbour and one shortcut, got \
+                     k_n={near}, k_s={shortcuts}"
+                ),
+            });
+        }
+        if u64::from(near) >= population.node_count() {
+            return Err(OverlayError::InvalidParameter {
+                message: format!(
+                    "{near} near neighbours do not fit a population of {}",
+                    population.node_count()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    fn kernel_rule(&self) -> KernelRule {
         // Near neighbours and shortcuts share the ring rule: the kernel
         // merges them into one advance-sorted plan per node.
-        Some(crate::kernel::KernelRule::RingAdvance)
+        KernelRule::RingAdvance
     }
 
-    fn implicit_stream_words(&self, population: &Population) -> Option<u64> {
+    fn implicit_stream_words(&self, _population: &Population) -> u64 {
         // Near neighbours are positional (no draws); each shortcut draws one
         // `gen::<f64>()` — one `next_u64`, two words — inside
-        // `harmonic_distance`. Fixed per node only over full populations
-        // (sparse successor chains consume no randomness either, but the
-        // implicit backend is full-population by contract).
-        population.is_full().then(|| 2 * u64::from(self.shortcuts))
-    }
-
-    fn supports_live(&self) -> bool {
-        true
+        // `harmonic_distance`.
+        2 * u64::from(self.shortcuts)
     }
 
     fn live_table_width(&self, _population: &Population) -> usize {
@@ -189,10 +205,7 @@ impl GeometryStrategy for SymphonyStrategy {
 /// assert_eq!(overlay.neighbors(overlay.key_space().wrap(0)).len(), 2);
 /// # Ok::<(), dht_overlay::OverlayError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct SymphonyOverlay {
-    inner: GeometryOverlay<SymphonyStrategy>,
-}
+pub type SymphonyOverlay = GeometryOverlay<SymphonyStrategy>;
 
 impl SymphonyOverlay {
     /// Builds the fully populated small-world overlay with `near_neighbors`
@@ -228,40 +241,23 @@ impl SymphonyOverlay {
         shortcuts: u32,
         rng: &mut R,
     ) -> Result<Self, OverlayError> {
-        if near_neighbors == 0 || shortcuts == 0 {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "Symphony needs at least one near neighbour and one shortcut, got k_n={near_neighbors}, k_s={shortcuts}"
-                ),
-            });
-        }
-        if u64::from(near_neighbors) >= population.node_count() {
-            return Err(OverlayError::InvalidParameter {
-                message: format!(
-                    "{near_neighbors} near neighbours do not fit a population of {}",
-                    population.node_count()
-                ),
-            });
-        }
-        Ok(SymphonyOverlay {
-            inner: GeometryOverlay::build(
-                population,
-                SymphonyStrategy::new(near_neighbors, shortcuts),
-                rng,
-            )?,
-        })
+        Self::over(
+            population,
+            SymphonyStrategy::new(near_neighbors, shortcuts),
+            rng,
+        )
     }
 
     /// Number of near neighbours per node (`k_n`).
     #[must_use]
     pub fn near_neighbors(&self) -> u32 {
-        self.inner.strategy().near_neighbors()
+        self.strategy().near_neighbors()
     }
 
     /// Number of shortcuts per node (`k_s`).
     #[must_use]
     pub fn shortcuts(&self) -> u32 {
-        self.inner.strategy().shortcuts()
+        self.strategy().shortcuts()
     }
 }
 
@@ -280,41 +276,13 @@ fn harmonic_distance<R: Rng + ?Sized>(node_count: u64, id_population: u64, rng: 
     ((rank * scale).floor() as u64).clamp(1, id_population - 1)
 }
 
-impl Overlay for SymphonyOverlay {
-    fn geometry_name(&self) -> &'static str {
-        self.inner.geometry_name()
-    }
-
-    fn key_space(&self) -> KeySpace {
-        self.inner.key_space()
-    }
-
-    fn population(&self) -> &Population {
-        self.inner.population()
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.inner.neighbors(node)
-    }
-
-    fn next_hop(&self, current: NodeId, target: NodeId, alive: &FailureMask) -> Option<NodeId> {
-        self.inner.next_hop(current, target, alive)
-    }
-
-    fn edge_count(&self) -> u64 {
-        self.inner.edge_count()
-    }
-
-    fn kernel(&self) -> Option<&crate::kernel::RoutingKernel> {
-        self.inner.routing_kernel()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::{route, RouteOutcome};
+    use crate::traits::Overlay;
     use dht_id::distance::ring_distance;
+    use dht_id::KeySpace;
     use dht_mathkit::RunningStats;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -437,6 +405,27 @@ mod tests {
         assert!(SymphonyOverlay::build(8, 1, 0, &mut rng).is_err());
         assert!(SymphonyOverlay::build(2, 4, 1, &mut rng).is_err());
         assert!(SymphonyOverlay::build(0, 1, 1, &mut rng).is_err());
+    }
+
+    #[test]
+    fn every_backend_rejects_the_same_invalid_parameters() {
+        use crate::{ImplicitOverlay, LiveOverlay};
+        // Zero connections over 16 nodes; 8 near neighbours over 4 nodes.
+        for (bits, near, shortcuts) in [(4, 0, 0), (2, 8, 1)] {
+            let population = || Population::full(KeySpace::new(bits).unwrap());
+            let strategy = SymphonyStrategy::new(near, shortcuts);
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            let invalid = |result: Result<(), OverlayError>| {
+                matches!(result, Err(OverlayError::InvalidParameter { .. }))
+            };
+            assert!(invalid(
+                GeometryOverlay::over(population(), strategy, &mut rng).map(drop)
+            ));
+            assert!(invalid(ImplicitOverlay::over(bits, strategy, 0).map(drop)));
+            assert!(invalid(
+                LiveOverlay::build(population(), strategy, 1).map(drop)
+            ));
+        }
     }
 
     #[test]
