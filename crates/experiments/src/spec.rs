@@ -628,11 +628,11 @@ impl ScenarioSpec {
     /// Stable 64-bit content hash (FNV-1a over canonical JSON).
     ///
     /// Canonicalization sorts object keys recursively, so field order never
-    /// matters, and drops the top-level `name` and `execution` entries: the
-    /// label is presentation, and thread budgets cannot change results
-    /// (every engine is thread-count invariant), so neither may change the
-    /// cache key. The `schema` tag *is* hashed — a schema bump invalidates
-    /// every cache.
+    /// matters, maps `-0.0` to `0.0`, and drops the top-level `name` and
+    /// `execution` entries: the label is presentation, and thread budgets
+    /// cannot change results (every engine is thread-count invariant), so
+    /// neither may change the cache key. The `schema` tag *is* hashed — a
+    /// schema bump invalidates every cache.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         let mut value = self.to_value();
@@ -652,10 +652,12 @@ impl ScenarioSpec {
     }
 }
 
-/// Recursively sorts object keys so structurally equal values serialize to
-/// byte-equal JSON.
+/// Recursively sorts object keys and maps `-0.0` to `0.0`, so structurally
+/// equal values serialize to byte-equal JSON (the two zeros compare equal
+/// and mean the same parameter, but print differently).
 fn canonicalize(value: &Value) -> Value {
     match value {
+        Value::F64(x) if *x == 0.0 => Value::F64(0.0),
         Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
         Value::Object(entries) => {
             let mut entries: Vec<(String, Value)> = entries
@@ -1409,6 +1411,29 @@ mod tests {
         );
         let parsed = ScenarioSpec::from_json(&reordered).unwrap();
         assert_eq!(parsed.content_hash(), spec.content_hash());
+    }
+
+    #[test]
+    fn negative_zero_hashes_like_zero() {
+        let with_q = |q: f64| {
+            let mut spec = Family::Fig3.default_spec(true);
+            if let ExperimentSpec::Fig3 {
+                failure_probability,
+                ..
+            } = &mut spec.experiment
+            {
+                *failure_probability = q;
+            }
+            spec
+        };
+        let negative = with_q(-0.0);
+        assert!(negative.validate().is_ok(), "-0.0 is an accepted q");
+        assert_eq!(negative.content_hash(), with_q(0.0).content_hash());
+        // Parsed from text too: `-0.0` is a distinct JSON token.
+        let parsed = ScenarioSpec::from_json(&negative.to_json()).unwrap();
+        assert!(negative.to_json().contains("-0.0"));
+        assert_eq!(parsed.content_hash(), with_q(0.0).content_hash());
+        assert_ne!(with_q(0.1).content_hash(), with_q(0.0).content_hash());
     }
 
     #[test]

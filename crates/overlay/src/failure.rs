@@ -1,12 +1,20 @@
 //! Frozen node-failure patterns (the static resilience model).
 
 use dht_id::{KeySpace, NodeId, Population};
-use rand::Rng;
+use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 use serde::{get_field, Deserialize, Error, Serialize, Value};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread;
 
 /// Number of identifier slots per bitset word.
 const WORD_BITS: u64 = 64;
+
+/// The smallest chunk of bitset words [`FailureMask::sample_over`] hands
+/// to a worker thread (4096 words, 2^18 identifiers): below this a spawn
+/// costs more than the draws it would move off the calling thread.
+const MIN_CHUNK_WORDS: usize = 4096;
 
 /// Draws a workspace-unique generation stamp (see [`FailureMask::generation`]).
 ///
@@ -130,13 +138,8 @@ impl FailureMask {
     /// analytical-only; see [`crate::traits::MAX_OVERLAY_BITS`]).
     #[must_use]
     pub fn none(space: KeySpace) -> Self {
-        assert!(
-            space.bits() <= 32,
-            "failure masks materialise every node; {}-bit spaces are analytical-only",
-            space.bits()
-        );
+        let words = word_count(space);
         let population = space.population();
-        let words = population.div_ceil(WORD_BITS) as usize;
         let mut alive = vec![u64::MAX; words];
         let tail = population % WORD_BITS;
         if tail != 0 {
@@ -163,13 +166,7 @@ impl FailureMask {
             return FailureMask::none(population.space());
         }
         let space = population.space();
-        assert!(
-            space.bits() <= 32,
-            "failure masks materialise every node; {}-bit spaces are analytical-only",
-            space.bits()
-        );
-        let words = space.population().div_ceil(WORD_BITS) as usize;
-        let mut alive = vec![0u64; words];
+        let mut alive = vec![0u64; word_count(space)];
         for node in population.iter_nodes() {
             let value = node.value();
             alive[(value / WORD_BITS) as usize] |= 1u64 << (value % WORD_BITS);
@@ -186,39 +183,111 @@ impl FailureMask {
     /// Samples a mask over a fully populated space in which every node fails
     /// independently with probability `q`.
     ///
+    /// This is [`FailureMask::sample_over`] over [`Population::full`]: the
+    /// same stream contract, the same mask and the same final generator
+    /// position.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is not in `[0, 1]` or the space is larger than `2^32`.
     #[must_use]
-    pub fn sample<R: Rng + ?Sized>(space: KeySpace, q: f64, rng: &mut R) -> Self {
+    pub fn sample(space: KeySpace, q: f64, rng: &mut ChaCha8Rng) -> Self {
         Self::sample_over(&Population::full(space), q, rng)
     }
 
     /// Samples a mask in which every *occupied* node fails independently with
     /// probability `q` (unoccupied identifiers read as failed regardless).
     ///
-    /// Over a full population this draws the identical mask (and RNG stream)
-    /// as [`FailureMask::sample`].
+    /// # Stream contract
+    ///
+    /// With `p0 = rng.get_word_pos()` on entry and `n` occupied nodes:
+    ///
+    /// - the occupied node of rank `r` (ascending identifier order) draws one
+    ///   `next_u64` from stream words `p0 + 2r` and `p0 + 2r + 1`;
+    /// - it fails iff `(x >> 11) < ceil(q * 2^53)`, which is exactly
+    ///   `rng.gen_bool(q)` (`gen::<f64>() < q`): scaling by `2^53` is exact
+    ///   in `f64`, so `q = 0` never fails a node and `q = 1` always does;
+    /// - on return `rng` sits at word `p0 + 2n`, where a sequential
+    ///   `gen_bool` loop over the occupied nodes would have left it.
+    ///
+    /// ChaCha seeks in O(1), so the bitset is filled in word chunks on
+    /// scoped threads, one per available core, each drawing from a clone of
+    /// `rng` seeked to its chunk's first draw. Masks of at most 4096 words
+    /// (`2^18` identifiers) stay on the calling thread. The mask and the
+    /// final generator position do not depend on the core count.
     ///
     /// # Panics
     ///
     /// Panics if `q` is not in `[0, 1]` or the space is larger than `2^32`.
     #[must_use]
-    pub fn sample_over<R: Rng + ?Sized>(population: &Population, q: f64, rng: &mut R) -> Self {
+    pub fn sample_over(population: &Population, q: f64, rng: &mut ChaCha8Rng) -> Self {
+        let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::sample_chunked(population, q, rng, workers, MIN_CHUNK_WORDS)
+    }
+
+    /// [`FailureMask::sample_over`] with the worker count and the minimum
+    /// chunk size (in words, both at least 1) spelled out, so tests can
+    /// force every split.
+    pub(crate) fn sample_chunked(
+        population: &Population,
+        q: f64,
+        rng: &mut ChaCha8Rng,
+        workers: usize,
+        min_chunk_words: usize,
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&q),
             "failure probability must be in [0,1]"
         );
-        let mut mask = FailureMask::none_over(population);
-        for node in population.iter_nodes() {
-            if rng.gen_bool(q) {
-                let value = node.value();
-                mask.alive[(value / WORD_BITS) as usize] &= !(1u64 << (value % WORD_BITS));
-                mask.failed_count += 1;
-            }
+        // `gen::<f64>()` is `(x >> 11) * 2^-53`; multiplying both sides of
+        // `m * 2^-53 < q` by 2^53 is exact, and for an integer `m` the
+        // compare against the real `q * 2^53` equals the one against its
+        // ceiling.
+        let threshold = (q * (1u64 << 53) as f64).ceil() as u64;
+        let space = population.space();
+        // Full masks start zeroed; sparse ones start as their occupancy
+        // bitset, which the fill reads and overwrites word by word.
+        let (occupancy, mut alive) = if population.is_full() {
+            (
+                Occupancy::Full(space.population()),
+                vec![0u64; word_count(space)],
+            )
+        } else {
+            (Occupancy::Stored, FailureMask::none_over(population).alive)
+        };
+        let start = rng.get_word_pos();
+        let chunk_words = alive.len().div_ceil(workers).max(min_chunk_words);
+
+        // Chunk `i` starts drawing at its first occupied node's rank.
+        let mut rank = 0u64;
+        let mut fills = Vec::new();
+        for (index, words) in alive.chunks_mut(chunk_words).enumerate() {
+            let first_word = index * chunk_words;
+            let mut draws = rng.clone();
+            draws.set_word_pos(start + 2 * rank);
+            rank += occupancy.count(first_word, words);
+            fills.push(move || fill_words(words, first_word, occupancy, draws, threshold));
         }
-        mask.stamp = fresh_stamp();
-        mask
+        let mut fills = fills.into_iter();
+        let first = fills.next().expect("a mask has at least one word");
+        let alive_count = thread::scope(|scope| {
+            let workers: Vec<_> = fills.map(|fill| scope.spawn(fill)).collect();
+            // The calling thread fills the first chunk while the workers run.
+            let own = first();
+            own + workers
+                .into_iter()
+                .map(|worker| worker.join().expect("mask fill worker panicked"))
+                .sum::<u64>()
+        });
+        let population_size = population.node_count();
+        rng.set_word_pos(start + 2 * population_size);
+        FailureMask {
+            space,
+            alive,
+            failed_count: population_size - alive_count,
+            population_size,
+            stamp: fresh_stamp(),
+        }
     }
 
     /// Creates a mask over a fully populated space from an explicit list of
@@ -538,11 +607,93 @@ pub fn select_in_word(word: u64, rank: u32) -> u32 {
     index
 }
 
+/// The number of bitset words covering every identifier of `space`.
+///
+/// # Panics
+///
+/// Panics if the space has more than `2^32` identifiers.
+fn word_count(space: KeySpace) -> usize {
+    assert!(
+        space.bits() <= 32,
+        "failure masks materialise every node; {}-bit spaces are analytical-only",
+        space.bits()
+    );
+    space.population().div_ceil(WORD_BITS) as usize
+}
+
+/// Where the occupied identifiers of a word come from during a fill.
+#[derive(Debug, Clone, Copy)]
+enum Occupancy {
+    /// A full population of this many identifiers: every bit below it.
+    Full(u64),
+    /// A sparse population: the word itself holds its occupancy bits.
+    Stored,
+}
+
+impl Occupancy {
+    /// The occupied bits of word `index`, whose stored value is `stored`.
+    fn word(self, index: usize, stored: u64) -> u64 {
+        match self {
+            Occupancy::Full(ids) => {
+                let below = ids - index as u64 * WORD_BITS;
+                if below >= WORD_BITS {
+                    u64::MAX
+                } else {
+                    (1u64 << below) - 1
+                }
+            }
+            Occupancy::Stored => stored,
+        }
+    }
+
+    /// The number of occupied identifiers in `words`, which start at word
+    /// `first_word`.
+    fn count(self, first_word: usize, words: &[u64]) -> u64 {
+        match self {
+            Occupancy::Full(ids) => {
+                let start = first_word as u64 * WORD_BITS;
+                ids.min(start + words.len() as u64 * WORD_BITS) - start
+            }
+            Occupancy::Stored => words.iter().map(|word| u64::from(word.count_ones())).sum(),
+        }
+    }
+}
+
+/// Fills `words` (global word indices from `first_word` on) with alive bits
+/// and returns how many it set.
+///
+/// `draws` must sit at the stream word of the chunk's first occupied node;
+/// each occupied identifier, in ascending order, then takes the next
+/// `next_u64` and survives iff `(x >> 11) >= threshold`. Every word is built
+/// in a register and written once.
+fn fill_words(
+    words: &mut [u64],
+    first_word: usize,
+    occupancy: Occupancy,
+    mut draws: ChaCha8Rng,
+    threshold: u64,
+) -> u64 {
+    let mut alive_count = 0u64;
+    for (index, word) in (first_word..).zip(words.iter_mut()) {
+        let mut occupied = occupancy.word(index, *word);
+        let mut alive = 0u64;
+        while occupied != 0 {
+            let bit = occupied & occupied.wrapping_neg();
+            if draws.next_u64() >> 11 >= threshold {
+                alive |= bit;
+            }
+            occupied ^= bit;
+        }
+        *word = alive;
+        alive_count += u64::from(alive.count_ones());
+    }
+    alive_count
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use rand::{Rng, SeedableRng};
 
     fn space(bits: u32) -> KeySpace {
         KeySpace::new(bits).unwrap()
@@ -594,6 +745,58 @@ mod tests {
         let a = FailureMask::sample(space(10), 0.4, &mut ChaCha8Rng::seed_from_u64(9));
         let b = FailureMask::sample(space(10), 0.4, &mut ChaCha8Rng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    /// The sequential `gen_bool` loop the chunked fill must reproduce.
+    fn sequential(population: &Population, q: f64, rng: &mut ChaCha8Rng) -> FailureMask {
+        let failed = population
+            .iter_nodes()
+            .filter(|_| rng.gen_bool(q))
+            .collect::<Vec<_>>();
+        let mut mask = FailureMask::none_over(population);
+        for node in failed {
+            mask.fail_node(node);
+        }
+        mask
+    }
+
+    #[test]
+    fn every_worker_count_draws_the_sequential_mask_and_stream() {
+        let s = space(10);
+        let sparse = Population::sample_uniform(s, 333, &mut ChaCha8Rng::seed_from_u64(8)).unwrap();
+        let populations = [
+            Population::full(space(3)),
+            Population::full(space(7)),
+            Population::full(s),
+            sparse,
+        ];
+        let edge = 1.0 / (1u64 << 53) as f64;
+        for population in &populations {
+            for (case, q) in [0.0, edge, 0.37, 1.0 - edge, 1.0].into_iter().enumerate() {
+                let mut start = ChaCha8Rng::seed_from_u64(case as u64);
+                for _ in 0..(5 * case + 3) {
+                    start.next_u32(); // an offset that is not block-aligned
+                }
+                let mut oracle_rng = start.clone();
+                let oracle = sequential(population, q, &mut oracle_rng);
+                for workers in [1, 2, 3, 7] {
+                    for min_chunk_words in [1, 2] {
+                        let mut rng = start.clone();
+                        let mask = FailureMask::sample_chunked(
+                            population,
+                            q,
+                            &mut rng,
+                            workers,
+                            min_chunk_words,
+                        );
+                        let label = format!("{population}, q={q}, {workers} workers");
+                        assert_eq!(mask, oracle, "{label}");
+                        assert_eq!(rng.get_word_pos(), oracle_rng.get_word_pos(), "{label}");
+                        assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

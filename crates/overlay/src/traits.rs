@@ -40,7 +40,7 @@ impl fmt::Display for OverlayError {
         match self {
             OverlayError::UnsupportedBits { bits, max_bits } => write!(
                 f,
-                "this backend supports at most {max_bits}-bit identifier spaces, got {bits} \
+                "identifier length must be in 1..={max_bits} bits for this backend, got {bits} \
                  (materialized tables stop at {MAX_OVERLAY_BITS} bits; the implicit backend \
                  routes full populations up to {MAX_IMPLICIT_OVERLAY_BITS} bits)"
             ),
@@ -282,5 +282,18 @@ mod tests {
             message: "shortcuts must be positive".into(),
         };
         assert!(err.to_string().contains("shortcuts"));
+    }
+
+    #[test]
+    fn zero_bits_are_reported_against_the_valid_range() {
+        // Zero is below the range, not above a ceiling: the message must
+        // name the whole range rather than read "at most 24 bits, got 0".
+        let message = validate_bits(0).unwrap_err().to_string();
+        assert!(
+            message.contains(&format!("1..={MAX_OVERLAY_BITS}")),
+            "{message}"
+        );
+        assert!(message.contains("got 0"), "{message}");
+        assert!(!message.contains("at most"), "{message}");
     }
 }

@@ -7,12 +7,16 @@
 //! properties drive both representations through the same constructions and
 //! mutations and assert every observable agrees: per-identifier reads,
 //! counts, the ascending alive iterator, and the popcount rank/select pair
-//! the bitset adds.
+//! the bitset adds. The `*_draw_the_sequential_stream` properties pin the
+//! chunked, multi-threaded fill to the model's single `gen_bool` loop: same
+//! mask and same generator state afterwards, from unaligned stream offsets,
+//! at the `q` edges of the 53-bit threshold, over full and sparse
+//! populations large enough to split into several chunks.
 
 use dht_id::{KeySpace, NodeId, Population};
 use dht_overlay::{select_in_word, FailureMask};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The seed's `Vec<bool>` failure mask, transcribed.
@@ -137,8 +141,94 @@ fn assert_equivalent(model: &Model, mask: &FailureMask) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// The model's pattern as the bitset words a [`FailureMask`] stores.
+fn model_words(model: &Model) -> Vec<u64> {
+    let mut words = vec![0u64; model.failed.len().div_ceil(64)];
+    for (value, &failed) in model.failed.iter().enumerate() {
+        if !failed {
+            words[value / 64] |= 1 << (value % 64);
+        }
+    }
+    words
+}
+
+/// `2^-53`: the smallest non-zero `q` that can fail a node.
+const TINY_Q: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// `q` at and next to the edges of the 53-bit threshold, or uniform.
+fn edge_q() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0f64),
+        Just(TINY_Q),
+        0.0f64..1.0,
+        Just(1.0 - TINY_Q),
+        Just(1.0f64),
+    ]
+}
+
+/// Identifier lengths below one word, up to a few words, and at 2^19–2^20
+/// (8192–16384 words: two or more fill chunks on a multi-core machine).
+fn fill_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..13, 19u32..21]
+}
+
+/// Samples `population` with the model's `gen_bool` loop and with
+/// [`FailureMask::sample_over`] from the same generator, first discarding
+/// `discard` words from both, and asserts the masks and the generators'
+/// next draws agree.
+fn assert_sampled_like_the_model(
+    population: &Population,
+    q: f64,
+    seed: u64,
+    discard: u32,
+) -> Result<(), TestCaseError> {
+    let mut model_rng = ChaCha8Rng::seed_from_u64(seed);
+    for _ in 0..discard {
+        model_rng.next_u32();
+    }
+    let mut mask_rng = model_rng.clone();
+    let model = Model::sample_over(population, q, &mut model_rng);
+    let mask = FailureMask::sample_over(population, q, &mut mask_rng);
+    prop_assert_eq!(model.failed_count, mask.failed_count());
+    prop_assert_eq!(model.population_size, mask.population_size());
+    prop_assert!(model_words(&model) == mask.words(), "masks differ");
+    prop_assert_eq!(model_rng.get_word_pos(), mask_rng.get_word_pos());
+    prop_assert_eq!(model_rng.next_u64(), mask_rng.next_u64());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn full_masks_draw_the_sequential_stream(
+        bits in fill_bits(),
+        seed in 0u64..1 << 20,
+        discard in 0u32..32,
+        q in edge_q(),
+    ) {
+        let population = Population::full(KeySpace::new(bits).unwrap());
+        assert_sampled_like_the_model(&population, q, seed, discard)?;
+    }
+
+    #[test]
+    fn sparse_masks_draw_the_sequential_stream(
+        bits in fill_bits(),
+        occupancy_per_mille in 1u64..1000,
+        seed in 0u64..1 << 20,
+        discard in 0u32..32,
+        q in edge_q(),
+    ) {
+        let space = KeySpace::new(bits.max(2)).unwrap();
+        let occupied = (space.population() * occupancy_per_mille / 1000).max(2);
+        let population = Population::sample_uniform(
+            space,
+            occupied,
+            &mut ChaCha8Rng::seed_from_u64(seed ^ 0xBEEF),
+        )
+        .unwrap();
+        assert_sampled_like_the_model(&population, q, seed, discard)?;
+    }
 
     #[test]
     fn sampled_full_masks_match_the_seed_semantics(
